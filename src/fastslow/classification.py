@@ -25,7 +25,7 @@ from .equivalence import (
     check_slow_relation,
 )
 from .model import EquivConfig, SystemDef
-from .semantics import Lts, build_lts
+from .semantics import DEFAULT_STATE_CAP, Lts, build_lts
 
 IntVector = tuple[int, ...]
 
@@ -418,6 +418,7 @@ def shortcut_check(
     sys_b: SystemDef,
     cfg: EquivConfig,
     relation: list[tuple[IntVector, IntVector]],
+    max_states: int = DEFAULT_STATE_CAP,
 ) -> ShortcutOutcome:
     """Certify fast-slow bisimilarity via a slow-only check.
 
@@ -426,7 +427,7 @@ def shortcut_check(
     second, with equal slow values inside every pair.  After the slow
     check succeeds on the transformed systems, the same relation is
     cross-validated with the direct fast-slow check on the original
-    transition systems.
+    transition systems, which are built under the ``max_states`` cap.
     """
     cls_a = classify(sys_a, cfg)
     cls_b = classify(sys_b, cfg)
@@ -434,8 +435,8 @@ def shortcut_check(
     if not report.applicable:
         raise ShortcutPreconditionError(list(report.reasons))
     cls_b = _align_slow(cls_a, cls_b, cfg)
-    lts_a = build_lts(sys_a)
-    lts_b = build_lts(sys_b)
+    lts_a = build_lts(sys_a, max_states=max_states)
+    lts_b = build_lts(sys_b, max_states=max_states)
     t_a = transform_lts(lts_a, cls_a)
     t_b = transform_lts(lts_b, cls_b)
     n_s = cls_a.n_s

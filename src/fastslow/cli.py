@@ -147,7 +147,9 @@ def cmd_check(args) -> int:
             raise _InputError(
                 f"{args.relation}: entries must be [first-coordinates, second-coordinates] pairs"
             ) from None
-        result = classification.shortcut_check(sys_a, sys_b, cfg, pairs)
+        result = classification.shortcut_check(
+            sys_a, sys_b, cfg, pairs, max_states=args.max_states
+        )
         outcome = result.outcome
         report = _report(
             args,
@@ -244,7 +246,7 @@ def cmd_congruence(args) -> int:
     p2 = _load_model(args.model_p2)
     q = _load_model(args.model_q)
     cfg = _load_config(args.config)
-    probe = equivalence.congruence_probe(p1, p2, q, cfg)
+    probe = equivalence.congruence_probe(p1, p2, q, cfg, max_states=args.max_states)
     report = _report(
         args,
         sharedFastWithP1=sorted(probe.shared_with_p1),
@@ -284,6 +286,25 @@ def cmd_extend(args) -> int:
 # argument plumbing -------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _add_max_states(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--max-states",
+        type=_positive_int,
+        default=semantics.DEFAULT_STATE_CAP,
+        help="fail with exit code 3 once a transition system exceeds this many states",
+    )
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="machine-readable report")
     sub.add_argument(
@@ -305,7 +326,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--format", choices=("dot", "json"), default="json")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--max-states", type=int, default=semantics.DEFAULT_STATE_CAP)
+    _add_max_states(p)
     p.add_argument("--config", help="annotate edges with filtered labels")
     p.set_defaults(func=cmd_lts)
 
@@ -318,7 +339,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--mode", choices=("fast-slow", "slow", "shortcut"), default="fast-slow"
     )
     p.add_argument("--emit-relation", help="write the computed largest relation here")
-    p.add_argument("--max-states", type=int, default=semantics.DEFAULT_STATE_CAP)
+    _add_max_states(p)
     _add_common(p)
     p.set_defaults(func=cmd_check)
 
@@ -335,6 +356,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("model_p2")
     p.add_argument("model_q")
     p.add_argument("--config", required=True)
+    _add_max_states(p)
     _add_common(p)
     p.set_defaults(func=cmd_congruence)
 

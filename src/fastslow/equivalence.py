@@ -6,17 +6,35 @@ other with the same action name and the same filtered label (after alias
 renaming), landing back in the relation.  The fast-slow game additionally
 requires every fast step to be answered by a (possibly empty) fast
 sequence.  Verifying a user-supplied relation checks each stored pair in
-both directions; the largest bisimulation is the greatest fixpoint of
-deleting violating pairs from the full cross product.
+both directions.
+
+The largest bisimulation is the greatest fixpoint of deleting violating
+pairs, computed by one worklist engine for both games (after Henzinger,
+Henzinger & Kopke, "Computing simulations on finite and infinite
+graphs", 1995).  The worklist starts from the pairs whose move keys are
+compatible, and each deletion re-queues only the live pairs that could
+have answered a move through the deleted pair.  Partition refinement is
+not enough here: the largest slow bisimulation need not be transitive.
+When the initial states end up unrelated, the witness is the first
+unanswered move at the initial pair against the final relation.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
 from .model import EquivConfig, SystemDef, compose
-from .semantics import CapabilityLabel, Lts, State, WeakViews, build_lts, weak_views
+from .semantics import (
+    DEFAULT_STATE_CAP,
+    CapabilityLabel,
+    Lts,
+    State,
+    WeakViews,
+    build_lts,
+    weak_views,
+)
 
 
 class EquivalenceError(Exception):
@@ -173,28 +191,97 @@ def check_slow_relation(
     return _check_relation(r, a, b, cfg, include_fast=False)
 
 
+def _index(
+    views: WeakViews, n: int, include_fast: bool
+) -> tuple[dict, list[set[int]], list[set[int]]]:
+    """Move-key groups and predecessor sets of the states of one side.
+
+    States are grouped by (strong slow keys, weak slow keys), a key being
+    (action, filtered label).  The strong predecessors of x are the
+    states with a challenger move into x (a slow step, or a fast step in
+    fast-slow mode); the weak predecessors are the states with a defender
+    answer landing in x (a weak slow target, or a fast-closure member in
+    fast-slow mode).
+    """
+    groups: dict[tuple[frozenset, frozenset], list[int]] = {}
+    strong: list[set[int]] = [set() for _ in range(n)]
+    weak: list[set[int]] = [set() for _ in range(n)]
+    for s in range(n):
+        slow = views.slow_strong(s)
+        weak_moves = views.weak_slow_moves(s)
+        strong_keys = frozenset((action, label) for action, label, _ in slow)
+        groups.setdefault((strong_keys, frozenset(weak_moves)), []).append(s)
+        for _, _, dst in slow:
+            strong[dst].add(s)
+        for targets in weak_moves.values():
+            for dst in targets:
+                weak[dst].add(s)
+        if include_fast:
+            for dst in views.fast_steps(s):
+                strong[dst].add(s)
+            for dst in views.fast_closure(s):
+                weak[dst].add(s)
+    return groups, strong, weak
+
+
+def _initial_pairs(groups_a, groups_b, include_fast: bool) -> set[tuple[int, int]]:
+    """Pairs whose move keys are compatible.
+
+    Every pair of the greatest fixpoint passes this filter.  In slow
+    mode each strong move of one side must be answered by a weak move
+    of the other with the same key.  In fast-slow mode the fast clause
+    carries the defender along every fast path of the challenger, so
+    every weak move of one side is also a weak move of the other and
+    the weak key sets are equal.
+    """
+    pairs = set()
+    for (strong_a, weak_a), states_a in groups_a.items():
+        for (strong_b, weak_b), states_b in groups_b.items():
+            if include_fast:
+                compatible = weak_a == weak_b
+            else:
+                compatible = strong_a <= weak_b and strong_b <= weak_a
+            if compatible:
+                pairs.update((p, q) for p in states_a for q in states_b)
+    return pairs
+
+
 def _largest(
     a: Lts, b: Lts, cfg: EquivConfig, include_fast: bool
 ) -> tuple[PairRelation, CheckOutcome]:
     game = _Game(a, b, cfg, include_fast)
-    rel = {(p, q) for p in range(a.n_states) for q in range(b.n_states)}
-    reasons: dict[tuple[int, int], Witness] = {}
-    while True:
-        doomed = []
-        for pair in sorted(rel):
-            witness = game.witness_for(rel, *pair)
-            if witness is not None:
-                doomed.append((pair, witness))
-        if not doomed:
-            break
-        for pair, witness in doomed:
-            rel.discard(pair)
-            reasons[pair] = witness
+    groups_a, strong_a, weak_a = _index(game.va, a.n_states, include_fast)
+    groups_b, strong_b, weak_b = _index(game.vb, b.n_states, include_fast)
+    rel = _initial_pairs(groups_a, groups_b, include_fast)
+    queue = deque(sorted(rel))
+    queued = set(rel)
+
+    def requeue(lefts, rights):
+        for p in lefts:
+            for q in rights:
+                pair = (p, q)
+                if pair in rel and pair not in queued:
+                    queued.add(pair)
+                    queue.append(pair)
+
+    while queue:
+        pair = queue.popleft()
+        queued.discard(pair)
+        if game.witness_for(rel, *pair) is None:
+            continue
+        # The answers of (p, q) that used (x, y) were a challenger move
+        # into x against a defender answer landing in y, or the mirror.
+        rel.discard(pair)
+        x, y = pair
+        requeue(strong_a[x], weak_b[y])
+        requeue(weak_a[x], strong_b[y])
     initial = (a.initial, b.initial)
     if initial in rel:
         outcome = CheckOutcome("equivalent")
     else:
-        outcome = CheckOutcome("not-equivalent", reasons.get(initial))
+        # Some move at the initial pair fails against the final relation;
+        # otherwise adding the pair would give a larger bisimulation.
+        outcome = CheckOutcome("not-equivalent", game.witness_for(rel, *initial))
     return PairRelation(frozenset(rel)), outcome
 
 
@@ -203,16 +290,23 @@ def largest_fast_slow(
 ) -> tuple[PairRelation, CheckOutcome]:
     """Greatest fast-slow bisimulation over the cross product of states.
 
-    Starts from all pairs and repeatedly deletes pairs violating either
-    clause; deletions are applied between sweeps, so the fixpoint and the
-    recorded witnesses are deterministic.  The outcome reports whether
-    the two initial states remained related.
+    Pairs with unequal weak slow move keys are never related; the rest
+    are checked from a worklist, and a pair failing either clause is
+    deleted and the pairs whose answers used it are checked again.  The
+    result is the unique greatest fixpoint, whatever the order.  The
+    outcome reports whether the two initial states remained related and,
+    if not, a challenger move at the initial pair that has no answer in
+    the returned relation.
     """
     return _largest(a, b, cfg, include_fast=True)
 
 
 def largest_slow(a: Lts, b: Lts, cfg: EquivConfig) -> tuple[PairRelation, CheckOutcome]:
-    """Greatest slow bisimulation; as largest_fast_slow without the fast clause."""
+    """Greatest slow bisimulation; as largest_fast_slow without the fast clause.
+
+    The worklist starts from the pairs where the strong slow move keys of
+    each side are among the weak slow move keys of the other.
+    """
     return _largest(a, b, cfg, include_fast=False)
 
 
@@ -240,20 +334,27 @@ class CongruenceReport:
 
 
 def congruence_probe(
-    p1: SystemDef, p2: SystemDef, q: SystemDef, cfg: EquivConfig
+    p1: SystemDef,
+    p2: SystemDef,
+    q: SystemDef,
+    cfg: EquivConfig,
+    max_states: int = DEFAULT_STATE_CAP,
 ) -> CongruenceReport:
     """Compare two models before and after composing each with a context.
 
     Reports the shared fast actions with the context (the congruence side
     condition), the verdict for the components and the verdict for the
     compositions; used to confirm congruence instances and the failure
-    mode when the side condition is violated.
+    mode when the side condition is violated.  Every transition system
+    is built under the ``max_states`` cap.
     """
     shared1 = shared_fast_actions(p1, q, cfg)
     shared2 = shared_fast_actions(p2, q, cfg)
-    _, component = largest_fast_slow(build_lts(p1), build_lts(p2), cfg)
-    composed_a = build_lts(compose(p1, q))
-    composed_b = build_lts(compose(p2, q))
+    _, component = largest_fast_slow(
+        build_lts(p1, max_states=max_states), build_lts(p2, max_states=max_states), cfg
+    )
+    composed_a = build_lts(compose(p1, q), max_states=max_states)
+    composed_b = build_lts(compose(p2, q), max_states=max_states)
     _, composed = largest_fast_slow(composed_a, composed_b, cfg)
     return CongruenceReport(shared1, shared2, component, composed)
 

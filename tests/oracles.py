@@ -73,3 +73,50 @@ def strong_bisim_oracle(lts: Lts) -> set[tuple[int, int]]:
                 rel.discard((i, j))
                 changed = True
     return rel
+
+
+def largest_sweep_oracle(
+    a: Lts, b: Lts, cfg: EquivConfig, include_fast: bool
+) -> set[tuple[int, int]]:
+    """Largest fast-slow (``include_fast``) or slow bisimulation between
+    ``a`` and ``b``: start from the full cross product and sweep it,
+    deleting every pair where some strong move of one side (slow, or
+    fast when ``include_fast``) has no weak answer of the other side
+    landing in the relation, until a sweep deletes nothing."""
+
+    def moves(lts: Lts):
+        fast = fast_edges(lts, cfg)
+        strong = [set() for _ in range(lts.n_states)]
+        for t in lts.transitions:
+            if t.label.action in cfg.slow:
+                strong[t.src].add((t.label.action, filter_label(t.label, cfg), t.dst))
+        if include_fast:
+            for src, dst in fast:
+                strong[src].add((None, None, dst))
+        answers = weak_slow_oracle(lts, cfg)
+        if include_fast:
+            for i, reach in enumerate(warshall_closure(lts.n_states, fast)):
+                answers[(i, None, None)] = reach
+        return strong, answers
+
+    strong_a, answers_a = moves(a)
+    strong_b, answers_b = moves(b)
+
+    def violated(rel, p: int, q: int) -> bool:
+        for action, label, p2 in strong_a[p]:
+            if not any((p2, q2) in rel for q2 in answers_b.get((q, action, label), ())):
+                return True
+        for action, label, q2 in strong_b[q]:
+            if not any((p2, q2) in rel for p2 in answers_a.get((p, action, label), ())):
+                return True
+        return False
+
+    rel = {(p, q) for p in range(a.n_states) for q in range(b.n_states)}
+    changed = True
+    while changed:
+        changed = False
+        for pair in sorted(rel):
+            if violated(rel, *pair):
+                rel.discard(pair)
+                changed = True
+    return rel

@@ -114,19 +114,25 @@ def random_small_lts(
 
 
 def random_partition(rng: random.Random, actions: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
-    fast = frozenset(a for a in actions if rng.random() < 0.5)
+    # sorted: set iteration order of strings changes with the hash seed
+    fast = frozenset(a for a in sorted(actions) if rng.random() < 0.5)
     return fast, actions - fast
 
 
-def random_case(case: int, seed: str = "fastslow-suite"):
+def random_case(case: int, seed: str = "fastslow-suite", sync_all: bool = True):
     """A pair of small systems over one action pool plus a configuration.
 
     Every tenth case may be trivial (deadlocked or single-state); the rest
-    are required to have at least one transition.
+    are required to have at least one transition.  ``sync_all`` is passed
+    on to ``random_system``.
     """
     trivial_ok = case % 10 == 0
-    sys_a, lts_a = random_small_lts(f"{seed}:{case}:a", allow_trivial=trivial_ok)
-    sys_b, lts_b = random_small_lts(f"{seed}:{case}:b", allow_trivial=trivial_ok)
+    sys_a, lts_a = random_small_lts(
+        f"{seed}:{case}:a", sync_all=sync_all, allow_trivial=trivial_ok
+    )
+    sys_b, lts_b = random_small_lts(
+        f"{seed}:{case}:b", sync_all=sync_all, allow_trivial=trivial_ok
+    )
     rng = random.Random(f"{seed}:{case}:cfg")
     actions = sys_a.actions() | sys_b.actions()
     fast, slow = random_partition(rng, actions)

@@ -166,3 +166,36 @@ def producer_systems(
     )
     cfg = EquivConfig(fast=frozenset({"b"}), slow=frozenset({"a", "d"}))
     return c1, c2, ctx, cfg
+
+
+def pathway(k: int, tokens: int) -> tuple[SystemDef, EquivConfig]:
+    """Linear enzyme pathway S0 -> S1 -> ... -> Sk, one enzyme per step.
+
+    bind_i: S(i-1) + Ei -> Ci and unbind_i: Ci -> S(i-1) + Ei are fast,
+    cat_i: Ci -> Si + Ei is slow; one unit of each enzyme and ``tokens``
+    units of substrate in S0, composed as a right-nested chain.
+    """
+    species = []
+    for i in range(k + 1):
+        prefixes = [Prefix(f"cat{i}", 1, PR)] if i else []
+        if i < k:
+            prefixes += [Prefix(f"bind{i + 1}", 1, R), Prefix(f"unbind{i + 1}", 1, PR)]
+        species.append(SpeciesDef(f"S{i}", tuple(prefixes), tokens))
+    leaves = [Leaf("S0", tokens)]
+    for i in range(1, k + 1):
+        bind, unbind, cat = f"bind{i}", f"unbind{i}", f"cat{i}"
+        enzyme = (Prefix(bind, 1, R), Prefix(unbind, 1, PR), Prefix(cat, 1, PR))
+        compound = (Prefix(bind, 1, PR), Prefix(unbind, 1, R), Prefix(cat, 1, R))
+        species += [SpeciesDef(f"E{i}", enzyme, 1), SpeciesDef(f"C{i}", compound, 1)]
+        leaves += [Leaf(f"E{i}", 1), Leaf(f"C{i}", 0), Leaf(f"S{i}", 0)]
+    tree = leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        tree = Node(leaf, None, tree)
+    cfg = EquivConfig(
+        fast=frozenset(
+            f"{kind}{i}" for kind in ("bind", "unbind") for i in range(1, k + 1)
+        ),
+        slow=frozenset(f"cat{i}" for i in range(1, k + 1)),
+        delta=frozenset({f"S{k}"}),
+    )
+    return SystemDef(tuple(species), tree), cfg

@@ -64,6 +64,14 @@ class TestLtsCommand:
         assert code == 3
         assert "state-space-limit-exceeded(4)" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_nonpositive_state_cap_exits_2(self, fixtures, capsys, cap):
+        with pytest.raises(SystemExit) as exc:
+            main(["lts", str(fixtures / "inhibition_full.bp"), "--max-states", cap])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--max-states: must be a positive integer, got {cap}" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "lts", "no-such-file.bp")
         assert code == 2
@@ -104,6 +112,10 @@ class TestCheckCommand:
         assert code == 1
         assert "verdict: not-equivalent" in out
         assert "no matching weak move" in out
+        assert (
+            "at pair ((0,1), (0,1)): left state (0,1) offers fast step to (2,0) with no "
+            "matching weak move from the right state landing in the relation"
+        ) in out.splitlines()
 
     def test_supplied_relation_ok(self, fixtures, capsys, tmp_path):
         rel_path = tmp_path / "rel.json"
@@ -161,6 +173,30 @@ class TestCheckCommand:
         )
         assert code == 0
         assert "verdict: equivalent" in out
+
+    def test_shortcut_mode_honours_state_cap(self, fixtures, capsys, tmp_path):
+        rel_path = tmp_path / "rel.json"
+        pairs = [
+            [list(a), list(b)]
+            for a, b in inhibition_relation_transformed(5, 3, 0)
+        ]
+        rel_path.write_text(json.dumps(pairs))
+        code, _, err = run(
+            capsys,
+            "check",
+            fixtures / "inhibition_full.bp",
+            fixtures / "inhibition_reduced.bp",
+            "--config",
+            fixtures / "inhibition.cfg",
+            "--relation",
+            rel_path,
+            "--mode",
+            "shortcut",
+            "--max-states",
+            "4",
+        )
+        assert code == 3
+        assert "state-space-limit-exceeded(4)" in err
 
     def test_shortcut_precondition_exits_5(self, fixtures, capsys, tmp_path):
         rel_path = tmp_path / "rel.json"
@@ -294,6 +330,21 @@ class TestCongruenceCommand:
         assert code == 1
         assert "shared fast actions with context: a" in out
         assert "composed verdict: not-equivalent" in out
+
+    def test_state_cap_exits_3(self, fixtures, capsys):
+        code, _, err = run(
+            capsys,
+            "congruence",
+            fixtures / "burst_a.bp",
+            fixtures / "burst_b.bp",
+            fixtures / "drain_ctx.bp",
+            "--config",
+            fixtures / "burst.cfg",
+            "--max-states",
+            "2",
+        )
+        assert code == 3
+        assert "state-space-limit-exceeded(2)" in err
 
 
 class TestExtendCommand:

@@ -28,6 +28,8 @@ from fastslow.equivalence import (
     RelationResolutionError,
     config_problems,
 )
+from fastslow.semantics import filter_label
+from oracles import fast_edges, largest_sweep_oracle, warshall_closure, weak_slow_oracle
 from randgen import random_case
 from systems import (
     burst_systems,
@@ -35,10 +37,16 @@ from systems import (
     inhibition_full,
     inhibition_reduced,
     inhibition_relation,
+    pathway,
     producer_systems,
 )
 
 CFG = inhibition_config()
+
+BURST_WITNESS = (
+    "at pair ((0,1), (0,1)): left state (0,1) offers fast step to (2,0) with no "
+    "matching weak move from the right state landing in the relation"
+)
 
 
 def inhibition_lts_pair(n, m, p):
@@ -108,6 +116,7 @@ class TestLargestFastSlow:
         assert outcome.witness is not None
         text = outcome.witness.describe()
         assert "no matching weak move" in text
+        assert text == BURST_WITNESS
 
     def test_soundness_of_computed_relation(self):
         a, b = inhibition_lts_pair(3, 2, 2)
@@ -138,6 +147,80 @@ class TestLargestFastSlow:
             _, lts, _, _, cfg = random_case(case, seed="self")
             rel = PairRelation(frozenset((i, i) for i in range(lts.n_states)))
             assert check_fast_slow_relation(rel, lts, lts, cfg).equivalent
+
+
+def assert_witness_unanswered(witness, rel, a, b, cfg):
+    """The witness names a real challenger move of its side that no weak
+    answer of the other side matches inside ``rel``; recomputed with the
+    oracles, not with the game."""
+    p, q = a.index_of(witness.pair[0]), b.index_of(witness.pair[1])
+    if witness.side == "left":
+        challenger, defender, src, other = a, b, p, q
+    else:
+        challenger, defender, src, other = b, a, q, p
+    dst = challenger.index_of(witness.target)
+    if witness.kind == "slow":
+        assert any(
+            t.src == src
+            and t.dst == dst
+            and t.label.action == witness.action
+            and filter_label(t.label, cfg) == witness.label
+            for t in challenger.transitions
+        )
+        key = (other, witness.action, witness.label)
+        answers = weak_slow_oracle(defender, cfg).get(key, set())
+    else:
+        fast = fast_edges(defender, cfg)
+        assert (src, dst) in fast_edges(challenger, cfg)
+        answers = warshall_closure(defender.n_states, fast)[other]
+    for answer in answers:
+        pair = (dst, answer) if witness.side == "left" else (answer, dst)
+        assert pair not in rel
+
+
+MODES = [(True, largest_fast_slow), (False, largest_slow)]
+
+
+class TestLargestAgainstSweepOracle:
+    """The worklist engine against the delete-from-the-cross-product sweep.
+
+    Each comparison also runs with the sides swapped, so that the
+    re-queueing after right-side challenges is exercised as often as the
+    re-queueing after left-side ones.
+    """
+
+    @staticmethod
+    def agree(a, b, cfg):
+        for x, y, c in ((a, b, cfg), (b, a, cfg.swapped())):
+            for include_fast, largest in MODES:
+                rel, outcome = largest(x, y, c)
+                expected = largest_sweep_oracle(x, y, c, include_fast)
+                assert set(rel.pairs) == expected
+                assert outcome.equivalent == ((x.initial, y.initial) in expected)
+                assert (outcome.witness is None) == outcome.equivalent
+                if outcome.witness is not None:
+                    assert_witness_unanswered(outcome.witness, expected, x, y, c)
+
+    @pytest.mark.parametrize("sync_all", [True, False])
+    def test_random_cases(self, sync_all):
+        for case in range(300):
+            _, a, _, b, cfg = random_case(case, seed="sweep-oracle", sync_all=sync_all)
+            self.agree(a, b, cfg)
+
+    @pytest.mark.parametrize("params", [(20, 3, 1), (30, 4, 2)])
+    def test_inhibition_full_vs_reduced(self, params):
+        a, b = inhibition_lts_pair(*params)
+        self.agree(a, b, CFG)
+
+    def test_pathway_self_comparison(self):
+        sys_def, cfg = pathway(3, 3)
+        lts = build_lts(sys_def)
+        assert lts.n_states == 63
+        self.agree(lts, lts, cfg)
+
+    def test_burst_witness_unanswered(self):
+        s1, s2, ctx, cfg = burst_systems()
+        self.agree(build_lts(compose(s1, ctx)), build_lts(compose(s2, ctx)), cfg)
 
 
 class TestSlowChecks:
