@@ -1,13 +1,18 @@
 """Stoichiometric variable classification and the slow-check shortcut.
 
 The stoichiometry matrix has one row per species (declaration order) and
-one column per reaction.  Conserved variables span its left null space;
-slow variables are additionally unchanged by every fast reaction but are
-not conserved; fast variables complete the basis.  Transforming states to
-(slow, fast) coordinates drops the constant conserved components and is a
-bijection on reachable states, which is what lets a slow-only bisimulation
-check stand in for the full fast-slow check when the reduced model has no
-fast variables and the slow variables are matching individual species.
+one column per reaction instance, read from the reaction-instance table
+that also steps the model.  In a shared-all model every reaction has one
+instance, so the columns are the reactions; an explicit cooperation set
+can split a reaction into instances with fewer participants, and each of
+them gets its own column.  Conserved variables span the left null space;
+slow variables are additionally unchanged by every fast reaction instance
+but are not conserved; fast variables complete the basis.  Transforming
+states to (slow, fast) coordinates drops the constant conserved components
+and is a bijection on reachable states, which is what lets a slow-only
+bisimulation check stand in for the full fast-slow check when the reduced
+model has no fast variables and the slow variables are matching
+individual species.
 
 All linear algebra is exact: invariants are equality assertions, so
 floating point is banned here.
@@ -15,6 +20,7 @@ floating point is banned here.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from . import rational
@@ -25,7 +31,7 @@ from .equivalence import (
     check_slow_relation,
 )
 from .model import EquivConfig, SystemDef
-from .semantics import DEFAULT_STATE_CAP, Lts, build_lts
+from .semantics import DEFAULT_STATE_CAP, Lts, _Compiled, build_lts
 
 IntVector = tuple[int, ...]
 
@@ -65,16 +71,22 @@ class ShortcutLiftError(ClassificationError):
 
 @dataclass(frozen=True)
 class StoichMatrix:
-    """Species-by-reaction integer stoichiometry.
+    """Species-by-reaction-instance integer stoichiometry.
 
-    Entries are -stoich for a reactant prefix, +stoich for a product and
-    zero for modifiers and non-participants.  Column order is first
-    appearance while scanning species declarations in order.
+    There is one column per reaction instance of the compiled model.
+    Entries are -stoich for a reactant, +stoich for a product and zero
+    for modifiers and non-participants.  Columns follow the first
+    appearance of their action while scanning species declarations in
+    order; the instances of one action follow the declaration order of
+    their participants.  A column is named after its action when that
+    action has one instance, and ``action[P1,P2,...]`` after its
+    participants otherwise.  ``actions`` gives each column's action.
     """
 
     species: tuple[str, ...]
     reactions: tuple[str, ...]
     entries: tuple[IntVector, ...]
+    actions: tuple[str, ...]
 
     @property
     def n_species(self) -> int:
@@ -85,27 +97,49 @@ class StoichMatrix:
         return len(self.reactions)
 
     def column(self, reaction: str) -> IntVector:
+        """The column named ``reaction``."""
         j = self.reactions.index(reaction)
         return tuple(row[j] for row in self.entries)
 
-    def columns_for(self, reactions: frozenset[str]) -> list[list[int]]:
-        cols = [j for j, r in enumerate(self.reactions) if r in reactions]
+    def columns_for(self, actions: frozenset[str]) -> list[list[int]]:
+        """The submatrix of the instances of ``actions``."""
+        cols = [j for j, a in enumerate(self.actions) if a in actions]
         return [[row[j] for j in cols] for row in self.entries]
 
 
 def stoich_matrix(sys: SystemDef) -> StoichMatrix:
-    reactions: list[str] = []
+    """The stoichiometry of every reaction instance in the model's table.
+
+    A reaction that an explicit cooperation set lets fire with only some
+    of its participants has one column per instance, so the invariants
+    read off the matrix hold on the transition system.
+    """
+    first: dict[str, int] = {}
     for sdef in sys.species:
         for p in sdef.prefixes:
-            if p.action not in reactions:
-                reactions.append(p.action)
-    entries = []
-    for sdef in sys.species:
-        row = [0] * len(reactions)
-        for p in sdef.prefixes:
-            row[reactions.index(p.action)] = p.role.level_delta(p.stoich)
-        entries.append(tuple(row))
-    return StoichMatrix(sys.species_order, tuple(reactions), tuple(entries))
+            first.setdefault(p.action, len(first))
+    columns = [
+        (first[row.action], tuple(sorted(i for i, _, _ in row.guards)), row)
+        for row in _Compiled(sys).rows
+    ]
+    columns.sort(key=lambda column: column[:2])
+    count = Counter(row.action for _, _, row in columns)
+    order = sys.species_order
+    names = []
+    entries = [[0] * len(columns) for _ in order]
+    for j, (_, participants, row) in enumerate(columns):
+        if count[row.action] == 1:
+            names.append(row.action)
+        else:
+            names.append(f"{row.action}[{','.join(order[i] for i in participants)}]")
+        for i, delta in row.changes:
+            entries[i][j] = delta
+    return StoichMatrix(
+        order,
+        tuple(names),
+        tuple(tuple(row) for row in entries),
+        tuple(row.action for _, _, row in columns),
+    )
 
 
 def conserved_basis(m: StoichMatrix) -> list[IntVector]:
@@ -290,8 +324,8 @@ def block_shape_ok(m: StoichMatrix, cfg: EquivConfig, cls: VariableClassificatio
     conserved rows must vanish entirely and the slow rows must vanish on
     the fast columns.
     """
-    slow_cols = [j for j, r in enumerate(m.reactions) if r in cfg.slow]
-    fast_cols = [j for j, r in enumerate(m.reactions) if r in cfg.fast]
+    slow_cols = [j for j, a in enumerate(m.actions) if a in cfg.slow]
+    fast_cols = [j for j, a in enumerate(m.actions) if a in cfg.fast]
     for v in cls.conserved:
         for j in slow_cols + fast_cols:
             if rational.dot(v, [row[j] for row in m.entries]) != 0:

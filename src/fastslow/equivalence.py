@@ -33,6 +33,7 @@ from .semantics import (
     State,
     WeakViews,
     build_lts,
+    format_state,
     weak_views,
 )
 
@@ -92,15 +93,13 @@ class Witness:
             move = f"slow step ({self.action}, {{{entries}}})"
         else:
             move = "fast step"
+        left, right = (format_state(s) for s in self.pair)
         return (
-            f"at pair ({_fmt(self.pair[0])}, {_fmt(self.pair[1])}): "
-            f"{self.side} state {_fmt(src)} offers {move} to {_fmt(self.target)} "
+            f"at pair ({left}, {right}): "
+            f"{self.side} state {format_state(src)} offers {move} "
+            f"to {format_state(self.target)} "
             f"with no matching weak move from the {other} state landing in the relation"
         )
-
-
-def _fmt(state: State) -> str:
-    return "({})".format(",".join(str(x) for x in state))
 
 
 @dataclass(frozen=True)

@@ -50,10 +50,6 @@ class Role(enum.Enum):
     INHIBITOR = "(-)"
     GENERIC = "(.)"
 
-    @property
-    def changes_level(self) -> bool:
-        return self in (Role.REACTANT, Role.PRODUCT)
-
     def level_delta(self, stoich: int) -> int:
         if self is Role.REACTANT:
             return -stoich
@@ -86,12 +82,6 @@ class SpeciesDef:
     def actions(self) -> frozenset[str]:
         return frozenset(p.action for p in self.prefixes)
 
-    def prefix_for(self, action: str) -> Prefix | None:
-        for p in self.prefixes:
-            if p.action == action:
-                return p
-        return None
-
 
 @dataclass(frozen=True)
 class Leaf:
@@ -119,11 +109,14 @@ CompositionTree = Leaf | Node
 
 
 def tree_leaves(tree: CompositionTree) -> Iterator[Leaf]:
-    if isinstance(tree, Leaf):
-        yield tree
-    else:
-        yield from tree_leaves(tree.left)
-        yield from tree_leaves(tree.right)
+    """The leaves from left to right, without recursion."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            yield node
+        else:
+            stack += [node.right, node.left]
 
 
 @dataclass(frozen=True)
@@ -199,10 +192,12 @@ def validate_species(sdef: SpeciesDef) -> list[str]:
 
 
 def _tree_actions(tree: CompositionTree, defs: dict[str, SpeciesDef]) -> frozenset[str]:
-    if isinstance(tree, Leaf):
-        d = defs.get(tree.species)
-        return d.actions() if d is not None else frozenset()
-    return _tree_actions(tree.left, defs) | _tree_actions(tree.right, defs)
+    out: set[str] = set()
+    for leaf in tree_leaves(tree):
+        d = defs.get(leaf.species)
+        if d is not None:
+            out |= d.actions()
+    return frozenset(out)
 
 
 def validate_system(sys: SystemDef) -> list[str]:
@@ -243,19 +238,18 @@ def validate_system(sys: SystemDef) -> list[str]:
         if name not in placed:
             problems.append(f"unused-species({name})")
 
-    def walk(tree: CompositionTree) -> None:
-        if isinstance(tree, Leaf):
-            return
-        if tree.coop is not None:
-            left_actions = _tree_actions(tree.left, defs)
-            right_actions = _tree_actions(tree.right, defs)
-            for a in sorted(tree.coop):
+    stack = [sys.tree]  # pre-order, left subtree first
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            continue
+        if node.coop is not None:
+            left_actions = _tree_actions(node.left, defs)
+            right_actions = _tree_actions(node.right, defs)
+            for a in sorted(node.coop):
                 if a not in left_actions or a not in right_actions:
                     problems.append(f"dangling-coop-action({a})")
-        walk(tree.left)
-        walk(tree.right)
-
-    walk(sys.tree)
+        stack += [node.right, node.left]
     return problems
 
 

@@ -7,20 +7,32 @@ species recording its role, its level at the source state and its
 stoichiometry.  Reactants drop by their stoichiometry, products rise,
 modifiers stay put; a reaction shared under cooperation needs all sides
 to contribute and their entries are merged.
+
+Each model is compiled once into a table with one row per reaction
+instance: an action together with the leaves that fire it jointly, each
+with its state index, the levels ``lo..hi`` at which it can take part,
+its level delta and its label fields.  The rows come from one walk of
+the cooperation tree, since each species offers at most one prefix per
+action.  A step checks every row's guards against the state and fires
+the rows that pass; the stoichiometry matrix in ``classification`` reads
+the same rows.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple
 
 from .model import (
     CompositionTree,
     EquivConfig,
     InvalidModelError,
     Leaf,
+    Prefix,
     Role,
+    SpeciesDef,
     SystemDef,
     max_level,
     validate_system,
@@ -29,6 +41,11 @@ from .model import (
 DEFAULT_STATE_CAP = 1_000_000
 
 State = tuple[int, ...]
+
+
+def format_state(state: State) -> str:
+    """A level vector as ``(l1,l2,...)``, as in DOT nodes and witnesses."""
+    return "({})".format(",".join(str(x) for x in state))
 
 
 class StateSpaceLimitError(Exception):
@@ -126,133 +143,185 @@ class Lts:
         return frozenset(t.label.action for t in self.transitions)
 
 
-class _Move(NamedTuple):
-    entries: frozenset[LabelEntry]
-    updates: tuple[tuple[int, int], ...]  # (species index, new level)
+class _Row(NamedTuple):
+    """One reaction instance: an action and the leaves that all take part.
+
+    Participants are kept in species-name order, the order of
+    ``LabelEntry.sort_key``, so labels and their sort keys are built
+    without sorting.
+    """
+
+    action: str
+    guards: tuple[tuple[int, int, int], ...]  # (state index, lo, hi)
+    changes: tuple[tuple[int, int], ...]  # (state index, level delta), deltas != 0
+    levels: Callable[[State], object]  # participant levels, the label cache key
+    fields: tuple[tuple[str, Role, int], ...]  # (species, role, stoich)
+    labels: dict[object, tuple[tuple, CapabilityLabel]]  # levels -> (sort key, label)
+
+
+def _instances(
+    tree: CompositionTree, defs: dict[str, SpeciesDef]
+) -> dict[str, list[tuple[tuple[str, Prefix], ...]]]:
+    """Participants of every reaction instance of ``tree``, by action.
+
+    One iterative post-order walk.  A leaf offers one instance per prefix.
+    A node pairs every left instance of a cooperating action with every
+    right one and lets the instances of all other actions through from
+    either side; ``None`` cooperates on the actions both sides offer.
+    The smaller child is merged into the larger, so a deep chain costs
+    time linear in its size.
+    """
+    done: list[dict[str, list[tuple[tuple[str, Prefix], ...]]]] = []
+    stack: list[tuple[CompositionTree, bool]] = [(tree, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if isinstance(node, Leaf):
+            prefixes = defs[node.species].prefixes
+            done.append({p.action: [((node.species, p),)] for p in prefixes})
+        elif not children_done:
+            stack += [(node, True), (node.right, False), (node.left, False)]
+        else:
+            right = done.pop()
+            left = done.pop()
+            big, small = (left, right) if len(left) >= len(right) else (right, left)
+            for action, rows in small.items():
+                others = big.get(action)
+                if others is None:
+                    big[action] = rows
+                elif node.coop is None or action in node.coop:
+                    big[action] = [a + b for a in others for b in rows]
+                else:
+                    others.extend(rows)
+            done.append(big)
+    return done[0]
+
+
+def _guard(role: Role, stoich: int, limit: int) -> tuple[int, int]:
+    """Levels ``lo..hi`` at which a participant can take part."""
+    if role is Role.REACTANT or role is Role.ACTIVATOR:
+        return stoich, limit
+    if role is Role.PRODUCT:
+        return 0, limit - stoich
+    return 0, limit  # inhibitor or generic modifier
+
+
+def _label(
+    action: str, fields: tuple[tuple[str, Role, int], ...], levels: tuple[int, ...]
+) -> tuple[tuple, CapabilityLabel]:
+    """A row's label at the given participant levels, with its sort key."""
+    entries = tuple(
+        LabelEntry(species, role, level, stoich)
+        for (species, role, stoich), level in zip(fields, levels)
+    )
+    sort_key = (action, tuple(e.sort_key() for e in entries))
+    return sort_key, CapabilityLabel(action, frozenset(entries))
 
 
 class _Compiled:
-    """Per-system stepping context: indices, level bounds, node action sets."""
+    """The reaction-instance table of one model, built once.
+
+    ``rows`` holds one ``_Row`` per reaction instance, read off the
+    cooperation tree by ``_instances``.  Each species has at most one
+    prefix per action, so the instances do not depend on the state:
+    stepping checks every row's guards against the levels and fires the
+    rows that pass.  Labels are interned per row by the participants'
+    levels, together with their sort key.
+    """
 
     def __init__(self, sys: SystemDef):
         problems = validate_system(sys)
         if problems:
             raise InvalidModelError(problems)
-        self.sys = sys
         self.order = sys.species_order
-        self.index = {name: i for i, name in enumerate(self.order)}
-        self.defs = sys.species_map()
-        self.limit = {
-            name: max_level(sdef, sys.step_size) for name, sdef in self.defs.items()
-        }
-        self._node_actions: dict[CompositionTree, frozenset[str]] = {}
+        index = {name: i for i, name in enumerate(self.order)}
+        defs = sys.species_map()
+        limit = {name: max_level(sdef, sys.step_size) for name, sdef in defs.items()}
+        levels = sys.initial_levels()
+        self.initial: State = tuple(levels[name] for name in self.order)
+        rows = []
+        for action, instances in _instances(sys.tree, defs).items():
+            for parts in instances:
+                parts = sorted(parts, key=lambda part: part[0])
+                idx = [index[name] for name, _ in parts]
+                deltas = [p.role.level_delta(p.stoich) for _, p in parts]
+                guards = tuple(
+                    (i, *_guard(p.role, p.stoich, limit[name]))
+                    for i, (name, p) in zip(idx, parts)
+                )
+                rows.append(
+                    _Row(
+                        action,
+                        guards,
+                        tuple((i, d) for i, d in zip(idx, deltas) if d),
+                        itemgetter(*idx),
+                        tuple((name, p.role, p.stoich) for name, p in parts),
+                        {},
+                    )
+                )
+        self.rows = tuple(rows)
 
-    def actions_of(self, tree: CompositionTree) -> frozenset[str]:
-        cached = self._node_actions.get(tree)
-        if cached is None:
-            if isinstance(tree, Leaf):
-                cached = self.defs[tree.species].actions()
+    def moves(self, state: State) -> list[tuple[tuple, CapabilityLabel, State]]:
+        """``(sort key, label, target)`` of every row enabled at ``state``."""
+        out = []
+        for action, guards, changes, levels, fields, labels in self.rows:
+            for i, lo, hi in guards:
+                if not lo <= state[i] <= hi:
+                    break
             else:
-                cached = self.actions_of(tree.left) | self.actions_of(tree.right)
-            self._node_actions[tree] = cached
-        return cached
-
-    def initial_state(self) -> State:
-        levels = self.sys.initial_levels()
-        return tuple(levels[name] for name in self.order)
-
-    def _leaf_moves(self, leaf: Leaf, state: State) -> dict[str, list[_Move]]:
-        idx = self.index[leaf.species]
-        level = state[idx]
-        limit = self.limit[leaf.species]
-        moves: dict[str, list[_Move]] = {}
-        for p in self.defs[leaf.species].prefixes:
-            if p.role is Role.REACTANT or p.role is Role.ACTIVATOR:
-                enabled = p.stoich <= level <= limit
-            elif p.role is Role.PRODUCT:
-                enabled = 0 <= level <= limit - p.stoich
-            else:  # inhibitor or generic modifier
-                enabled = 0 <= level <= limit
-            if not enabled:
-                continue
-            entry = LabelEntry(leaf.species, p.role, level, p.stoich)
-            delta = p.role.level_delta(p.stoich)
-            updates = ((idx, level + delta),) if delta else ()
-            moves.setdefault(p.action, []).append(_Move(frozenset((entry,)), updates))
-        return moves
-
-    def _moves(self, tree: CompositionTree, state: State) -> dict[str, list[_Move]]:
-        if isinstance(tree, Leaf):
-            return self._leaf_moves(tree, state)
-        left = self._moves(tree.left, state)
-        right = self._moves(tree.right, state)
-        coop = tree.coop
-        if coop is None:
-            coop = self.actions_of(tree.left) & self.actions_of(tree.right)
-        out: dict[str, list[_Move]] = {}
-        for action, moves in left.items():
-            if action not in coop:
-                out.setdefault(action, []).extend(moves)
-        for action, moves in right.items():
-            if action not in coop:
-                out.setdefault(action, []).extend(moves)
-        for action in coop:
-            if action in left and action in right:
-                combined = [
-                    _Move(m1.entries | m2.entries, m1.updates + m2.updates)
-                    for m1 in left[action]
-                    for m2 in right[action]
-                ]
-                out.setdefault(action, []).extend(combined)
+                key = levels(state)
+                hit = labels.get(key)
+                if hit is None:
+                    hit = labels[key] = _label(
+                        action, fields, key if len(fields) > 1 else (key,)
+                    )
+                if changes:
+                    target = list(state)
+                    for i, delta in changes:
+                        target[i] += delta
+                    out.append((hit[0], hit[1], tuple(target)))
+                else:
+                    out.append((hit[0], hit[1], state))
         return out
-
-    def step(self, state: State) -> list[tuple[CapabilityLabel, State]]:
-        result = []
-        for action, moves in self._moves(self.sys.tree, state).items():
-            for move in moves:
-                levels = list(state)
-                for idx, new in move.updates:
-                    levels[idx] = new
-                result.append((CapabilityLabel(action, move.entries), tuple(levels)))
-        result.sort(key=lambda pair: (pair[1], pair[0].sort_key()))
-        return result
 
 
 def initial_state(sys: SystemDef) -> State:
-    return _Compiled(sys).initial_state()
+    return _Compiled(sys).initial
 
 
 def step(sys: SystemDef, state: State) -> list[tuple[CapabilityLabel, State]]:
     """All capability transitions from one state, deterministically ordered."""
-    return _Compiled(sys).step(state)
+    moves = _Compiled(sys).moves(tuple(state))
+    moves.sort(key=lambda move: (move[2], move[0]))
+    return [(label, target) for _, label, target in moves]
 
 
 def build_lts(sys: SystemDef, max_states: int = DEFAULT_STATE_CAP) -> Lts:
     """Breadth-first closure of the step relation from the initial state.
 
     State indexing is deterministic: discovery order, with each state's
-    successors visited in lexicographic order.  Exceeding ``max_states``
-    raises instead of truncating.
+    successors visited in lexicographic order.  Transitions are ordered
+    by source, label and target.  Exceeding ``max_states`` raises
+    instead of truncating.
     """
     compiled = _Compiled(sys)
-    init = compiled.initial_state()
-    states: list[State] = [init]
-    index: dict[State, int] = {init: 0}
+    states: list[State] = [compiled.initial]
+    index: dict[State, int] = {compiled.initial: 0}
     transitions: list[Transition] = []
-    queue: deque[int] = deque((0,))
-    while queue:
-        src = queue.popleft()
-        for label, target in compiled.step(states[src]):
-            dst = index.get(target)
-            if dst is None:
+    src = 0
+    while src < len(states):
+        moves = compiled.moves(states[src])
+        for target in sorted(move[2] for move in moves):
+            if target not in index:
                 if len(states) >= max_states:
                     raise StateSpaceLimitError(max_states)
-                dst = len(states)
+                index[target] = len(states)
                 states.append(target)
-                index[target] = dst
-                queue.append(dst)
-            transitions.append(Transition(src, label, dst))
-    transitions.sort(key=lambda t: (t.src, t.label.sort_key(), t.dst))
+        # one move per row, and rows differ in their participants, so the
+        # labels from one state are distinct and order its transitions
+        moves.sort(key=itemgetter(0))
+        for _, label, target in moves:
+            transitions.append(Transition(src, label, index[target]))
+        src += 1
     return Lts(
         species_order=compiled.order,
         states=tuple(states),
@@ -357,10 +426,6 @@ def weak_views(lts: Lts, cfg: EquivConfig) -> WeakViews:
     return WeakViews(lts, cfg)
 
 
-def _state_label(state: State) -> str:
-    return "({})".format(",".join(str(x) for x in state))
-
-
 def lts_to_dict(lts: Lts) -> dict:
     """JSON document with stable key order, suitable for golden files."""
     return {
@@ -395,7 +460,7 @@ def lts_to_dot(lts: Lts, cfg: EquivConfig | None = None) -> str:
     lines = ["digraph lts {", "  rankdir=LR;", "  node [shape=box];"]
     for i, state in enumerate(lts.states):
         shape = ' peripheries=2' if i == lts.initial else ""
-        lines.append(f'  {i} [label="{_state_label(state)}"{shape}];')
+        lines.append(f'  {i} [label="{format_state(state)}"{shape}];')
     for t in lts.transitions:
         if cfg is None:
             label = t.label.action

@@ -4,7 +4,77 @@ They share no code with the package beyond the data types."""
 
 from __future__ import annotations
 
-from fastslow import CapabilityLabel, EquivConfig, Lts, filter_label
+from fastslow import (
+    CapabilityLabel,
+    EquivConfig,
+    LabelEntry,
+    Leaf,
+    Lts,
+    Role,
+    SystemDef,
+    filter_label,
+    max_level,
+)
+
+
+def step_tree_oracle(
+    sys: SystemDef, state: tuple[int, ...]
+) -> list[tuple[CapabilityLabel, tuple[int, ...]]]:
+    """All capability transitions from ``state``, by walking the
+    cooperation tree recursively at this one state.
+
+    A leaf offers its enabled prefixes; a node fires the actions of its
+    cooperation set (``None``: the actions both subtrees name) only
+    jointly, pairing every enabled left move with every enabled right one,
+    and lets every other action through from either side."""
+    defs = sys.species_map()
+    index = {name: i for i, name in enumerate(sys.species_order)}
+
+    def actions(tree) -> frozenset[str]:
+        if isinstance(tree, Leaf):
+            return defs[tree.species].actions()
+        return actions(tree.left) | actions(tree.right)
+
+    def moves(tree) -> dict[str, list[dict]]:
+        if isinstance(tree, Leaf):
+            level = state[index[tree.species]]
+            top = max_level(defs[tree.species], sys.step_size)
+            out: dict[str, list[dict]] = {}
+            for p in defs[tree.species].prefixes:
+                if p.role in (Role.REACTANT, Role.ACTIVATOR):
+                    enabled = p.stoich <= level <= top
+                elif p.role is Role.PRODUCT:
+                    enabled = 0 <= level <= top - p.stoich
+                else:
+                    enabled = 0 <= level <= top
+                if enabled:
+                    out.setdefault(p.action, []).append({tree.species: p})
+            return out
+        left, right = moves(tree.left), moves(tree.right)
+        coop = tree.coop
+        if coop is None:
+            coop = actions(tree.left) & actions(tree.right)
+        out = {}
+        for side in (left, right):
+            for action, found in side.items():
+                if action not in coop:
+                    out.setdefault(action, []).extend(found)
+        for action in coop:
+            if action in left and action in right:
+                out[action] = [{**m1, **m2} for m1 in left[action] for m2 in right[action]]
+        return out
+
+    result = []
+    for action, found in moves(sys.tree).items():
+        for move in found:
+            target = list(state)
+            entries = set()
+            for name, p in move.items():
+                i = index[name]
+                entries.add(LabelEntry(name, p.role, state[i], p.stoich))
+                target[i] += p.role.level_delta(p.stoich)
+            result.append((CapabilityLabel(action, frozenset(entries)), tuple(target)))
+    return result
 
 
 def warshall_closure(n: int, edges: set[tuple[int, int]]) -> list[set[int]]:

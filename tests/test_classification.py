@@ -17,6 +17,8 @@ from fastslow import (
     classification_report,
     complete_fast,
     conserved_basis,
+    parse_config,
+    parse_model,
     resolve_relation,
     shortcut_check,
     slow_basis,
@@ -65,6 +67,36 @@ class TestStoichMatrix:
         m = stoich_matrix(inhibition_full(5, 3, 0))
         i_row = m.entries[m.species.index("I")]
         assert i_row[m.reactions.index("b1")] == 0
+
+
+class TestExplicitCooperation:
+    """``(A[1] <> B[0]) <*> C[1]``: ``r`` fires as A with C or as B with C."""
+
+    @staticmethod
+    def load(fixtures):
+        sys = parse_model((fixtures / "explicit_coop.bp").read_text())
+        return sys, parse_config((fixtures / "explicit_coop.cfg").read_text())
+
+    def test_one_column_per_instance(self, fixtures):
+        m = stoich_matrix(self.load(fixtures)[0])
+        assert m.species == ("A", "B", "C")
+        assert m.reactions == ("r[A,C]", "r[B,C]")
+        assert m.actions == ("r", "r")
+        assert m.column("r[A,C]") == (-1, 0, 0)
+        assert m.column("r[B,C]") == (0, 1, 0)
+        assert m.columns_for(frozenset({"r"})) == [[-1, 0], [0, 1], [0, 0]]
+
+    def test_only_the_activator_is_conserved(self, fixtures):
+        sys, cfg = self.load(fixtures)
+        cls = classify(sys, cfg)
+        assert cls.conserved == ((0, 0, 1),)
+        assert cls.constants == (1,)
+        states = build_lts(sys).states
+        assert {(1, 1, 1), (0, 0, 1)} <= set(states)  # A+B is not constant
+        assert {rational.dot(v, s) for v in cls.conserved for s in states} == {1}
+        doc = classification_report(sys, cfg, cls)
+        assert [e["name"] for e in doc["conserved"]] == ["C"]
+        assert doc["blockShapeVerified"] is True
 
 
 class TestConservedBasis:

@@ -57,6 +57,13 @@ class TestLtsCommand:
         assert "stoichiometric coefficient" in err
         assert any(line.split(":")[1].isdigit() for line in err.splitlines())
 
+    def test_non_utf8_model_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.bp"
+        path.write_bytes(b"\xff\xfe max A = 1;")
+        code, _, err = run(capsys, "lts", path)
+        assert code == 2
+        assert "not UTF-8 text" in err
+
     def test_state_cap_exits_3(self, fixtures, capsys):
         code, _, err = run(
             capsys, "lts", fixtures / "inhibition_full.bp", "--max-states", "4"

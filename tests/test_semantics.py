@@ -11,6 +11,7 @@ from fastslow import (
     EquivConfig,
     LabelEntry,
     Leaf,
+    Node,
     Prefix,
     Role,
     SpeciesDef,
@@ -24,16 +25,19 @@ from fastslow import (
     largest_fast_slow,
     lts_to_dict,
     lts_to_dot,
+    parse_model,
     step,
+    stoich_matrix,
     weak_views,
 )
-from oracles import fast_edges, warshall_closure, weak_slow_oracle
-from randgen import random_case, random_small_lts
+from oracles import fast_edges, step_tree_oracle, warshall_closure, weak_slow_oracle
+from randgen import random_case, random_small_lts, random_system
 from systems import (
     burst_systems,
     inhibition_config,
     inhibition_full,
     inhibition_reduced,
+    pathway,
 )
 
 
@@ -119,6 +123,28 @@ class TestBuildLts:
             build_lts(inhibition_full(5, 3, 0), max_states=5)
         assert err.value.limit == 5
 
+    def test_deep_chain_hits_state_cap(self):
+        # a right-nested shared-all chain X0 <*> (X1 <*> (... <*> X1499))
+        # passing tokens down with t_i: X_i -> X_(i+1)
+        n = 1500
+        species = tuple(
+            SpeciesDef(
+                f"X{i}",
+                tuple(
+                    ([Prefix(f"t{i}", 1, Role.REACTANT)] if i < n - 1 else [])
+                    + ([Prefix(f"t{i - 1}", 1, Role.PRODUCT)] if i else [])
+                ),
+                3,
+            )
+            for i in range(n)
+        )
+        tree = Leaf(f"X{n - 1}", 0)
+        for i in reversed(range(n - 1)):
+            tree = Node(Leaf(f"X{i}", 1), None, tree)
+        with pytest.raises(StateSpaceLimitError) as err:
+            build_lts(SystemDef(species, tree), max_states=10)
+        assert err.value.limit == 10
+
     def test_level_delta_soundness_sample(self):
         sys = inhibition_full(3, 2, 2)
         lts = build_lts(sys)
@@ -154,6 +180,55 @@ class TestBuildLts:
         right = build_lts(compose(p, compose(q, r)))
         assert left.states == right.states
         assert left.transitions == right.transitions
+
+
+class TestStepAgainstTreeOracle:
+    """The compiled reaction-instance table against the recursive walk of
+    the cooperation tree, state by state."""
+
+    @staticmethod
+    def assert_agrees(sys: SystemDef) -> None:
+        lts = build_lts(sys)
+        levels = sys.initial_levels()
+        assert lts.states[0] == tuple(levels[name] for name in sys.species_order)
+        for i, state in enumerate(lts.states):
+            expected = step_tree_oracle(sys, state)
+            got = step(sys, state)
+            assert len(got) == len(expected)
+            assert set(got) == set(expected)
+            assert got == sorted(got, key=lambda move: (move[1], move[0].sort_key()))
+            out = [(t.label, lts.states[t.dst]) for t in lts.outgoing(i)]
+            assert len(out) == len(expected)
+            assert set(out) == set(expected)
+        keys = [(t.src, t.label.sort_key(), t.dst) for t in lts.transitions]
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("sync_all", [True, False])
+    def test_random_systems(self, sync_all):
+        split = 0
+        for case in range(300):
+            rng = random.Random(f"step-oracle:{sync_all}:{case}")
+            sys = random_system(rng, sync_all=sync_all)
+            self.assert_agrees(sys)
+            m = stoich_matrix(sys)
+            split += len(m.actions) > len(set(m.actions))
+        if sync_all:
+            assert split == 0  # shared-all: one instance per action
+        else:
+            assert split > 20  # explicit cooperation sets split some actions
+
+    def test_pathway(self):
+        self.assert_agrees(pathway(3, 3)[0])
+
+    def test_inhibition(self):
+        self.assert_agrees(inhibition_full(20, 3, 1))
+
+    def test_burst_fixtures(self, fixtures):
+        s1, s2, ctx, _ = burst_systems()
+        for sys in (s1, s2, ctx, compose(s1, ctx), compose(s2, ctx)):
+            self.assert_agrees(sys)
+        for name in ("burst_a.bp", "burst_b.bp", "drain_ctx.bp", "explicit_coop.bp"):
+            self.assert_agrees(parse_model((fixtures / name).read_text()))
 
 
 class TestFilterLabel:
