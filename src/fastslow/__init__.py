@@ -78,7 +78,6 @@ from .semantics import (
     lts_to_dict,
     lts_to_dot,
     step,
-    weak_views,
 )
 
 __version__ = "0.1.0"

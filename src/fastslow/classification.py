@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 from . import rational
 from .equivalence import (
@@ -92,10 +93,6 @@ class StoichMatrix:
     def n_species(self) -> int:
         return len(self.species)
 
-    @property
-    def n_reactions(self) -> int:
-        return len(self.reactions)
-
     def column(self, reaction: str) -> IntVector:
         """The column named ``reaction``."""
         j = self.reactions.index(reaction)
@@ -150,6 +147,7 @@ def conserved_basis(m: StoichMatrix) -> list[IntVector]:
     span admits a non-negative basis, a spanning independent subset of
     the minimal semi-positive invariants is preferred, since conserved
     quantities are normally non-negative combinations of species.
+    Every semiflow satisfies y^T S = 0, so it lies in the span already.
     """
     space = rational.left_nullspace(list(m.entries))
     if not space:
@@ -159,15 +157,26 @@ def conserved_basis(m: StoichMatrix) -> list[IntVector]:
         return canonical
     flows = rational.minimal_semiflows(list(m.entries))
     if flows is not None:
-        chosen: list[IntVector] = []
-        for flow in sorted(flows, key=lambda f: (sum(1 for x in f if x), f)):
-            if not rational.in_span(flow, space):
-                continue
-            if rational.rank(chosen + [list(flow)]) > len(chosen):
-                chosen.append(flow)
-            if len(chosen) == len(canonical):
-                return sorted(chosen, key=_leading_index)
+        flows.sort(key=lambda f: (sum(1 for x in f if x), f))
+        chosen = _independent([], flows, len(canonical))
+        if len(chosen) == len(canonical):
+            return sorted(chosen, key=_leading_index)
     return canonical
+
+
+def _independent(
+    stack: list[IntVector], candidates: Iterable[IntVector], size: int
+) -> list[IntVector]:
+    """``stack``, which must be independent, extended by the first
+    candidates that raise its rank, up to ``size`` vectors; the rank of
+    an independent stack is its length."""
+    stack = list(stack)
+    for vec in candidates:
+        if len(stack) == size:
+            break
+        if rational.rank(stack + [vec]) > len(stack):
+            stack.append(vec)
+    return stack
 
 
 def _leading_index(vector: IntVector) -> int:
@@ -189,35 +198,19 @@ def slow_basis(
     Candidates are canonicalised preferring single-species unit vectors,
     comparison species (delta, via the alias map) first and declaration
     order otherwise; remaining slots are filled from the null space's
-    canonical basis.
+    canonical basis.  The unit vector of a species is unchanged by every
+    fast reaction exactly when the species' row of the fast submatrix is
+    zero.
     """
     fast_part = m.columns_for(cfg.fast)
     space = rational.left_nullspace(fast_part)
-    target = len(space) - len(conserved)
-    if target <= 0:
-        return []
     n = m.n_species
-    chosen: list[IntVector] = []
-
-    def independent(vec) -> bool:
-        stack = [list(v) for v in conserved] + [list(v) for v in chosen]
-        return rational.rank(stack + [list(vec)]) > rational.rank(stack)
-
-    in_delta = [i for i, name in enumerate(m.species) if cfg.canon(name) in cfg.delta]
-    rest = [i for i in range(n) if i not in in_delta]
-    for i in in_delta + rest:
-        if len(chosen) == target:
-            break
-        e = _unit(i, n)
-        if rational.in_span(e, space) and independent(e):
-            chosen.append(e)
-    if len(chosen) < target:
-        for vec in rational.rref_int_basis(space):
-            if len(chosen) == target:
-                break
-            if independent(vec):
-                chosen.append(vec)
-    return chosen
+    order = sorted(range(n), key=lambda i: cfg.canon(m.species[i]) not in cfg.delta)
+    units = (_unit(i, n) for i in order if not any(fast_part[i]))
+    stack = _independent(conserved, units, len(space))
+    if len(stack) < len(space):
+        stack = _independent(stack, rational.rref_int_basis(space), len(space))
+    return stack[len(conserved):]
 
 
 def complete_fast(
@@ -324,17 +317,12 @@ def block_shape_ok(m: StoichMatrix, cfg: EquivConfig, cls: VariableClassificatio
     conserved rows must vanish entirely and the slow rows must vanish on
     the fast columns.
     """
-    slow_cols = [j for j, a in enumerate(m.actions) if a in cfg.slow]
-    fast_cols = [j for j, a in enumerate(m.actions) if a in cfg.fast]
-    for v in cls.conserved:
-        for j in slow_cols + fast_cols:
-            if rational.dot(v, [row[j] for row in m.entries]) != 0:
-                return False
-    for v in cls.slow:
-        for j in fast_cols:
-            if rational.dot(v, [row[j] for row in m.entries]) != 0:
-                return False
-    return True
+
+    def vanish(vectors, actions: frozenset[str]) -> bool:
+        columns = list(zip(*m.columns_for(actions)))
+        return all(rational.dot(v, c) == 0 for v in vectors for c in columns)
+
+    return vanish(cls.conserved, cfg.slow | cfg.fast) and vanish(cls.slow, cfg.fast)
 
 
 def transform_lts(lts: Lts, cls: VariableClassification) -> Lts:

@@ -69,8 +69,10 @@ def _load_relation(path: str):
     text = _read(path)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer of too many digits
         raise _InputError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise _InputError(f"{path}: JSON nested too deeply") from None
     if not isinstance(obj, list):
         raise _InputError(f"{path}: relation file must hold a JSON array of pairs")
     return obj
@@ -147,7 +149,7 @@ def cmd_check(args) -> int:
                 (tuple(int(x) for x in va), tuple(int(x) for x in vb))
                 for va, vb in obj
             ]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise _InputError(
                 f"{args.relation}: entries must be [first-coordinates, second-coordinates] pairs"
             ) from None

@@ -34,7 +34,6 @@ from .semantics import (
     WeakViews,
     build_lts,
     format_state,
-    weak_views,
 )
 
 
@@ -123,8 +122,8 @@ class _Game:
     def __init__(self, a: Lts, b: Lts, cfg: EquivConfig, include_fast: bool):
         self.a = a
         self.b = b
-        self.va: WeakViews = weak_views(a, cfg)
-        self.vb: WeakViews = weak_views(b, cfg)
+        self.va = WeakViews(a, cfg)
+        self.vb = WeakViews(b, cfg)
         self.include_fast = include_fast
 
     def witness_for(self, rel, p: int, q: int) -> Witness | None:
@@ -387,11 +386,11 @@ def resolve_relation(pairs: Iterable, a: Lts, b: Lts) -> PairRelation:
         va, vb = item
         try:
             p = a.index_of(tuple(int(x) for x in va))
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise RelationResolutionError(va, "first-model") from None
         try:
             q = b.index_of(tuple(int(x) for x in vb))
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise RelationResolutionError(vb, "second-model") from None
         out.add((p, q))
     return PairRelation(frozenset(out))

@@ -113,8 +113,8 @@ def _lex(text: str) -> list[Token]:
                 col += 1
             tokens.append(Token("ident", text[start:pos], span(start, pos, sline, scol)))
             continue
-        if ch.isdigit():
-            while pos < n and text[pos].isdigit():
+        if "0" <= ch <= "9":
+            while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
                 col += 1
             tokens.append(Token("int", text[start:pos], span(start, pos, sline, scol)))
@@ -209,8 +209,12 @@ class _ModelParser:
     def expect_int(self, what: str = "integer") -> tuple[int, SourceSpan]:
         tok = self.peek()
         if tok.kind == "int":
+            try:
+                value = int(tok.text)
+            except ValueError:  # beyond the interpreter's limit on digits
+                raise self.fail(f"{what} has too many digits ({len(tok.text)})") from None
             self.advance()
-            return int(tok.text), tok.span
+            return value, tok.span
         raise self.fail(f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}, found end of input")
 
     def expect_string(self) -> Token:
@@ -331,12 +335,26 @@ class _ModelParser:
         self.tree_span = kw.span
 
     def composition(self) -> Leaf | Node:
-        node = self.comp_primary()
+        # Open groups wait on a stack with the operand and operator before
+        # them, so nesting depth is not bounded by the recursion limit.
+        groups: list[tuple[Leaf | Node | None, object]] = []
+        left, coop = None, _NO_COOP
         while True:
-            coop = self.coop_operator()
-            if coop is _NO_COOP:
-                return node
-            node = Node(node, coop, self.comp_primary())
+            if self.at_symbol("("):
+                self.advance()
+                groups.append((left, coop))
+                left, coop = None, _NO_COOP
+                continue
+            operand = self.leaf()
+            while True:
+                left = operand if coop is _NO_COOP else Node(left, coop, operand)
+                coop = self.coop_operator()
+                if coop is not _NO_COOP:
+                    break
+                if not groups:
+                    return left
+                self.expect_symbol(")")
+                operand, (left, coop) = left, groups.pop()
 
     def coop_operator(self) -> frozenset[str] | None | object:
         if self.at_symbol("<*>"):
@@ -354,12 +372,7 @@ class _ModelParser:
             return frozenset(names)
         return _NO_COOP
 
-    def comp_primary(self) -> Leaf | Node:
-        if self.at_symbol("("):
-            self.advance()
-            inner = self.composition()
-            self.expect_symbol(")")
-            return inner
+    def leaf(self) -> Leaf:
         name = self.expect_ident("species name")
         self.expect_symbol("[")
         level, _ = self.expect_int("initial level")

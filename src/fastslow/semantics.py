@@ -422,10 +422,6 @@ class WeakViews:
         return self.weak_slow_moves(state).get((action, label), frozenset())
 
 
-def weak_views(lts: Lts, cfg: EquivConfig) -> WeakViews:
-    return WeakViews(lts, cfg)
-
-
 def lts_to_dict(lts: Lts) -> dict:
     """JSON document with stable key order, suitable for golden files."""
     return {

@@ -4,6 +4,9 @@ They share no code with the package beyond the data types."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from fastslow import (
     CapabilityLabel,
     EquivConfig,
@@ -11,6 +14,7 @@ from fastslow import (
     Leaf,
     Lts,
     Role,
+    StoichMatrix,
     SystemDef,
     filter_label,
     max_level,
@@ -190,3 +194,79 @@ def largest_sweep_oracle(
                 rel.discard(pair)
                 changed = True
     return rel
+
+
+def _rref(vectors, width: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination over the rationals: the non-zero rows of
+    the reduced row echelon form of ``vectors`` (each ``width`` long)
+    and their pivot columns."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    pivots: list[int] = []
+    for col in range(width):
+        top = len(pivots)
+        hit = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if hit is None:
+            continue
+        rows[top], rows[hit] = rows[hit], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def slow_basis_oracle(
+    m: StoichMatrix, cfg: EquivConfig, conserved: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """The slow basis by its defining selection, re-eliminating at every
+    step: in delta-first species order, take each unit vector that lies
+    in the left null space of the fast columns and raises the rank of
+    (conserved, chosen); fill the remaining slots from the null space's
+    reduced row echelon basis, scaled to coprime integers."""
+    n = len(m.species)
+    fast_columns = [
+        [row[j] for row in m.entries]
+        for j, action in enumerate(m.actions)
+        if action in cfg.fast
+    ]
+    reduced, pivots = _rref(fast_columns, n)
+    space = []
+    for free in (c for c in range(n) if c not in pivots):
+        y = [Fraction(0)] * n
+        y[free] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            y[p] = -row[free]
+        space.append(y)
+    target = len(space) - len(conserved)
+    if target <= 0:
+        return []
+    chosen: list[tuple[int, ...]] = []
+
+    def rank(vectors) -> int:
+        return len(_rref(vectors, n)[1])
+
+    def independent(vec) -> bool:
+        stack = list(conserved) + chosen
+        return rank(stack + [vec]) > rank(stack)
+
+    in_delta = [i for i, name in enumerate(m.species) if cfg.canon(name) in cfg.delta]
+    rest = [i for i in range(n) if i not in in_delta]
+    for i in in_delta + rest:
+        if len(chosen) == target:
+            break
+        e = tuple(1 if j == i else 0 for j in range(n))
+        if rank(space + [e]) == rank(space) and independent(e):
+            chosen.append(e)
+    if len(chosen) < target:
+        for row in _rref(space, n)[0]:
+            if len(chosen) == target:
+                break
+            scale = lcm(*(x.denominator for x in row))
+            ints = [int(x * scale) for x in row]
+            divisor = gcd(*ints)
+            vec = tuple(x // divisor for x in ints)
+            if independent(vec):
+                chosen.append(vec)
+    return chosen

@@ -16,6 +16,7 @@ from fastslow import (
     LabelEntry,
     PairRelation,
     Role,
+    WeakViews,
     build_lts,
     check_fast_slow_relation,
     check_slow_relation,
@@ -295,13 +296,11 @@ class TestCriterion8:
         _pass(8, time.monotonic() - started, "filter homomorphism on 1000 labels")
 
     def test_weak_views_vs_triple_loop_oracle(self, pool):
-        from fastslow import weak_views
-
         started = time.monotonic()
         checked = 0
         for _, lts_a, _, _, cfg in pool:
             assert lts_a.n_states < 50
-            views = weak_views(lts_a, cfg)
+            views = WeakViews(lts_a, cfg)
             closure = warshall_closure(lts_a.n_states, fast_edges(lts_a, cfg))
             for i in range(lts_a.n_states):
                 ours = views.fast_closure(i)

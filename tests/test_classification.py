@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from fastslow import (
@@ -30,14 +32,18 @@ from fastslow import rational
 from fastslow.classification import (
     ShortcutPreconditionError,
     block_shape_ok,
+    unit_species,
     vector_name,
 )
+from oracles import slow_basis_oracle
+from randgen import random_partition, random_system
 from systems import (
     inhibition_config,
     inhibition_full,
     inhibition_reduced,
     inhibition_relation,
     inhibition_relation_transformed,
+    pathway,
 )
 
 CFG = inhibition_config()
@@ -167,6 +173,44 @@ class TestSlowBasis:
         assert slow_basis(m, cfg, conserved) == []
         cls = classify(flipflop, cfg)
         assert cls.n_s == 0
+
+
+class TestSlowBasisAgainstOracle:
+    """``slow_basis`` against the selection that re-eliminates for every
+    candidate (``oracles.slow_basis_oracle``)."""
+
+    @staticmethod
+    def agrees(sys: SystemDef, cfg: EquivConfig) -> bool:
+        """Assert agreement; whether the basis needed the fill."""
+        m = stoich_matrix(sys)
+        conserved = conserved_basis(m)
+        slow = slow_basis(m, cfg, conserved)
+        assert slow == slow_basis_oracle(m, cfg, conserved)
+        return any(unit_species(v, m.species) is None for v in slow)
+
+    @pytest.mark.parametrize("sync_all", [True, False])
+    def test_random_systems(self, sync_all):
+        filled = 0
+        for case in range(600):
+            rng = random.Random(f"slow-basis-oracle:{sync_all}:{case}")
+            sys = random_system(rng, sync_all=sync_all)
+            fast, slow = random_partition(rng, sys.actions())
+            delta = frozenset(s for s in sys.species_order if rng.random() < 0.4)
+            filled += self.agrees(sys, EquivConfig(fast, slow, delta))
+        assert filled > 50
+
+    def test_pathway_and_inhibition(self):
+        for k in range(2, 7):
+            assert self.agrees(*pathway(k, 1))  # slow S0+C1, S1+C2, ...
+        for sys in (inhibition_full(5, 3, 0), inhibition_reduced(5, 3, 0)):
+            self.agrees(sys, CFG)
+
+    def test_fixtures(self, fixtures):
+        configs = [parse_config(p.read_text()) for p in sorted(fixtures.glob("*.cfg"))]
+        for path in sorted(fixtures.glob("*.bp")):
+            if path.name != "broken.bp":
+                for cfg in configs:
+                    self.agrees(parse_model(path.read_text()), cfg)
 
 
 class TestCompleteFast:

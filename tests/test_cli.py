@@ -1,17 +1,42 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fastslow.cli import main
 from systems import inhibition_relation, inhibition_relation_transformed
+
+ONE_SPECIES = "max A = 2;\nspecies A = (r,1) << A;\n"
+DEEP_PARENTHESES = ONE_SPECIES + "system = " + "(" * 3000 + "A[1]" + ")" * 3000 + ";\n"
+LONG_LITERAL = "9" * 4301  # one digit beyond the interpreter's default conversion limit
 
 
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def check_relation(fixtures, capsys, tmp_path, text, *extra):
+    rel_path = tmp_path / "rel.json"
+    rel_path.write_text(text)
+    return run(
+        capsys,
+        "check",
+        fixtures / "inhibition_full.bp",
+        fixtures / "inhibition_reduced.bp",
+        "--config",
+        fixtures / "inhibition.cfg",
+        "--relation",
+        rel_path,
+        *extra,
+    )
 
 
 class TestLtsCommand:
@@ -63,6 +88,29 @@ class TestLtsCommand:
         code, _, err = run(capsys, "lts", path)
         assert code == 2
         assert "not UTF-8 text" in err
+
+    def test_deep_parentheses_parse(self, capsys, tmp_path):
+        deep, flat = tmp_path / "deep.bp", tmp_path / "flat.bp"
+        deep.write_text(DEEP_PARENTHESES)
+        flat.write_text(ONE_SPECIES + "system = A[1];\n")
+        code, out, _ = run(capsys, "lts", deep)
+        assert code == 0
+        _, flat_out, _ = run(capsys, "lts", flat)
+        assert json.loads(out)["states"] == json.loads(flat_out)["states"]
+
+    def test_non_ascii_digit_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "sup.bp"
+        path.write_text("max S = \u00b2;\nspecies S = (r,1) << S;\nsystem = S[1];\n")
+        code, _, err = run(capsys, "lts", path)
+        assert code == 2
+        assert "1:9: unexpected character '\u00b2'" in err
+
+    def test_overlong_integer_literal_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "long.bp"
+        path.write_text(f"max A = {LONG_LITERAL};\nspecies A = (r,1) << A;\nsystem = A[1];\n")
+        code, _, err = run(capsys, "lts", path)
+        assert code == 2
+        assert "maximum count has too many digits (4301)" in err
 
     def test_state_cap_exits_3(self, fixtures, capsys):
         code, _, err = run(
@@ -204,6 +252,28 @@ class TestCheckCommand:
         )
         assert code == 3
         assert "state-space-limit-exceeded(4)" in err
+
+    def test_overlong_integer_in_relation_exits_2(self, fixtures, capsys, tmp_path):
+        code, _, err = check_relation(
+            fixtures, capsys, tmp_path, f"[[[{LONG_LITERAL}], [1]]]"
+        )
+        assert code == 2
+        assert "rel.json: Exceeds the limit" in err
+
+    @pytest.mark.parametrize(
+        "mode, message",
+        [
+            ("fast-slow", "no reachable first-model state has level vector [inf]"),
+            ("shortcut", "rel.json: entries must be [first-coordinates, second-coordinates] pairs"),
+        ],
+        ids=["fast-slow", "shortcut"],
+    )
+    def test_infinite_relation_entry_exits_2(self, fixtures, capsys, tmp_path, mode, message):
+        code, _, err = check_relation(
+            fixtures, capsys, tmp_path, "[[[1e400], [1]]]", "--mode", mode
+        )
+        assert code == 2
+        assert message in err
 
     def test_shortcut_precondition_exits_5(self, fixtures, capsys, tmp_path):
         rel_path = tmp_path / "rel.json"
@@ -380,3 +450,98 @@ class TestExtendCommand:
         )
         assert code == 2
         assert "overlapping-actions(a)" in err
+
+
+MODEL_BASE = (
+    "step = 1;\nmax S = 2;\nmax E = 1;\nmax P = 2;\n"
+    "species S = (r,1) << S + (s,1) >> S;\n"
+    "species E = (r,1) (+) E + (s,1) (.) E;\n"
+    "species P = (p,1) >> P;\n"
+    'rate r = "k * S";\nparam k = "1";\n'
+    "system = S[1] <*> E[1] <*> P[0];\n"
+)
+CONFIG_BASE = "fast: r\nslow: s, p\ndelta: P\nalias: P' = P\n"
+RELATION_BASE = "[[[1, 1, 0], [1, 1, 0]], [[0, 1, 0], [0, 1, 1]]]"
+CONTEXT = "max Q = 1;\nspecies Q = (p,1) (+) Q;\nsystem = Q[1];\n"
+HOSTILE = (
+    "\u00b2", "\u0663", "\uff11", "9" * 4400, "1e400", "-1e400", "NaN",
+    "(" * 3000, ")" * 3000, "[" * 3000, "]]", "\x00", "\u00e9",
+)
+MODEL_PIECES = HOSTILE + (
+    "step", "max", "species", "system", "param", "rate", "S", "E", "r", "s",
+    "=", ";", "<<", ">>", "(+)", "(-)", "(.)", "+", "<*>", "<", ">", "<>",
+    ",", "(", ")", "[", "]", "0", "1", "2", '"k"', "S[1]", " ", "\n", "//",
+)
+CONFIG_PIECES = HOSTILE + (
+    "fast:", "slow:", "delta:", "alias:", "r", "s", "S", "E", "S'", "=", ",", " ", "\n",
+)
+RELATION_PIECES = HOSTILE + ("[", "]", ",", "0", "1", "-1", "1.5", '"a"', "{}", "null", " ")
+BAD_BYTES = (b"",) * 9 + (b"\xff", b"\xc3(", b"\xed\xa0\x80")
+
+# {m} model, {c} configuration, {r} relation, {q} a fixed context model
+COMMANDS = (
+    ("lts", "{m}", "--max-states", "40"),
+    ("lts", "{m}", "--format", "dot", "--config", "{c}", "--max-states", "40"),
+    ("check", "{m}", "{m}", "--config", "{c}", "--max-states", "40"),
+    ("check", "{m}", "{m}", "--config", "{c}", "--mode", "slow", "--max-states", "40"),
+    ("check", "{m}", "{m}", "--config", "{c}", "--relation", "{r}", "--max-states", "40"),
+    ("check", "{m}", "{m}", "--config", "{c}", "--relation", "{r}", "--mode", "shortcut", "--max-states", "40"),
+    ("classify", "{m}", "--config", "{c}", "--json"),
+    ("congruence", "{m}", "{m}", "{q}", "--config", "{c}", "--max-states", "40"),
+    ("extend", "{m}", "S", "P"),
+)
+
+
+def hostile_text(base: str, pieces: tuple[str, ...]):
+    """Soup of the language's tokens, or the base text with pieces
+    spliced in; either may gain bytes that are not UTF-8."""
+    soup = st.lists(st.sampled_from(pieces), max_size=30).map("".join)
+    spliced = st.lists(
+        st.tuples(st.integers(0, len(base)), st.sampled_from(pieces)), max_size=3
+    ).map(lambda edits: _splice(base, edits))
+    return st.builds(
+        lambda text, tail: text.encode() + tail,
+        st.one_of(soup, spliced, st.just(base)),
+        st.sampled_from(BAD_BYTES),
+    )
+
+
+def _splice(base: str, edits) -> str:
+    for at, piece in sorted(edits, reverse=True):
+        base = base[:at] + piece + base[at:]
+    return base
+
+
+class TestCliFuzz:
+    """Whatever the input files hold, the CLI answers with an exit code
+    and a message, never with an uncaught exception."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        command=st.sampled_from(COMMANDS),
+        model=hostile_text(MODEL_BASE, MODEL_PIECES),
+        config=hostile_text(CONFIG_BASE, CONFIG_PIECES),
+        relation=hostile_text(RELATION_BASE, RELATION_PIECES),
+    )
+    @example(COMMANDS[0], DEEP_PARENTHESES.encode(), b"", b"")
+    @example(COMMANDS[0], "max S = \u00b2;".encode(), b"", b"")
+    @example(COMMANDS[0], f"max A = {LONG_LITERAL};".encode(), b"", b"")
+    @example(COMMANDS[4], MODEL_BASE.encode(), CONFIG_BASE.encode(), f"[[[{LONG_LITERAL}]]]".encode())
+    @example(COMMANDS[4], MODEL_BASE.encode(), CONFIG_BASE.encode(), b"[[[1e400], [1]]]")
+    @example(COMMANDS[5], MODEL_BASE.encode(), CONFIG_BASE.encode(), b"[[[1e400], [1]]]")
+    def test_exit_code_without_traceback(self, command, model, config, relation):
+        inputs = {"m": model, "c": config, "r": relation, "q": CONTEXT.encode()}
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {key: Path(tmp) / key for key in inputs}
+            for key, data in inputs.items():
+                paths[key].write_bytes(data)
+            argv = [arg.format(**paths) for arg in command]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in range(6)
+        assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -17,6 +17,7 @@ from fastslow import (
     SpeciesDef,
     StateSpaceLimitError,
     SystemDef,
+    WeakViews,
     build_lts,
     compose,
     extend_species,
@@ -28,7 +29,6 @@ from fastslow import (
     parse_model,
     step,
     stoich_matrix,
-    weak_views,
 )
 from oracles import fast_edges, step_tree_oracle, warshall_closure, weak_slow_oracle
 from randgen import random_case, random_small_lts, random_system
@@ -295,13 +295,13 @@ class TestFilterLabel:
 class TestWeakViews:
     def test_reflexive(self):
         lts = build_lts(inhibition_full(3, 2, 2))
-        views = weak_views(lts, inhibition_config())
+        views = WeakViews(lts, inhibition_config())
         for i in range(lts.n_states):
             assert i in views.fast_closure(i)
 
     def test_initial_weak_gamma_targets(self):
         lts = build_lts(inhibition_full(5, 3, 0))
-        views = weak_views(lts, inhibition_config())
+        views = WeakViews(lts, inhibition_config())
         i0 = lts.index_of((5, 3, 0, 0, 0, 0))
         label = CapabilityLabel("g", frozenset({entry("P", Role.PRODUCT, 0)}))
         targets = views.weak_slow_targets(i0, "g", label)
@@ -316,7 +316,7 @@ class TestWeakViews:
         # goes through weakly: unbind, bind substrate, then the slow step
         n, m, p = 3, 1, 2
         lts = build_lts(inhibition_full(n, m, p))
-        views = weak_views(lts, inhibition_config())
+        views = WeakViews(lts, inhibition_config())
         blocked = lts.index_of((3, 0, 1, 0, 1, 0))  # S,E,I,P,EI,SE with EI = m
         label = CapabilityLabel("g", frozenset({entry("P", Role.PRODUCT, 0)}))
         targets = views.weak_slow_targets(blocked, "g", label)
@@ -327,7 +327,7 @@ class TestWeakViews:
         lts = build_lts(inhibition_full(2, 1, 0))
         cfg = EquivConfig(fast=frozenset({"b1"}), slow=frozenset({"g"}))
         with pytest.raises(Exception) as err:
-            weak_views(lts, cfg)
+            WeakViews(lts, cfg)
         assert "unpartitioned-action" in str(err.value)
 
     def test_closure_and_weak_moves_match_oracle(self):
@@ -343,7 +343,7 @@ class TestWeakViews:
                 slow=frozenset(actions) - fast,
                 delta=frozenset(lts.species_order[:1]),
             )
-            views = weak_views(lts, cfg)
+            views = WeakViews(lts, cfg)
             closure = warshall_closure(lts.n_states, fast_edges(lts, cfg))
             for i in range(lts.n_states):
                 assert views.fast_closure(i) == frozenset(closure[i])
