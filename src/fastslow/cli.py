@@ -65,7 +65,7 @@ def _load_config(path: str) -> EquivConfig:
         raise _InputError("\n".join(lines)) from None
 
 
-def _load_relation(path: str):
+def _load_relation(path: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     text = _read(path)
     try:
         obj = json.loads(text)
@@ -75,7 +75,10 @@ def _load_relation(path: str):
         raise _InputError(f"{path}: JSON nested too deeply") from None
     if not isinstance(obj, list):
         raise _InputError(f"{path}: relation file must hold a JSON array of pairs")
-    return obj
+    try:
+        return [equivalence.read_pair(item) for item in obj]
+    except equivalence.RelationFormatError as exc:
+        raise _InputError(f"{path}: {exc}") from None
 
 
 def _digest(path: str) -> str:
@@ -100,8 +103,7 @@ def _emit(args, report: dict, human: list[str]) -> None:
             print(line)
 
 
-def _check_config(cfg: EquivConfig, a: semantics.Lts, b: semantics.Lts) -> None:
-    problems = equivalence.config_problems(cfg, a, b)
+def _refuse(problems: list[str]) -> None:
     if problems:
         raise _InputError("\n".join(problems))
 
@@ -143,16 +145,8 @@ def cmd_check(args) -> int:
     if args.mode == "shortcut":
         if not args.relation:
             raise _InputError("mode shortcut needs --relation (transformed coordinates)")
-        obj = _load_relation(args.relation)
-        try:
-            pairs = [
-                (tuple(int(x) for x in va), tuple(int(x) for x in vb))
-                for va, vb in obj
-            ]
-        except (TypeError, ValueError, OverflowError):
-            raise _InputError(
-                f"{args.relation}: entries must be [first-coordinates, second-coordinates] pairs"
-            ) from None
+        _refuse(equivalence.delta_problems(cfg, sys_a.species_order, sys_b.species_order))
+        pairs = _load_relation(args.relation)
         result = classification.shortcut_check(
             sys_a, sys_b, cfg, pairs, max_states=args.max_states
         )
@@ -171,7 +165,7 @@ def cmd_check(args) -> int:
 
     lts_a = semantics.build_lts(sys_a, max_states=args.max_states)
     lts_b = semantics.build_lts(sys_b, max_states=args.max_states)
-    _check_config(cfg, lts_a, lts_b)
+    _refuse(equivalence.config_problems(cfg, lts_a, lts_b))
     check = (
         equivalence.check_fast_slow_relation
         if args.mode == "fast-slow"
@@ -252,6 +246,9 @@ def cmd_congruence(args) -> int:
     p2 = _load_model(args.model_p2)
     q = _load_model(args.model_q)
     cfg = _load_config(args.config)
+    # the verdict that counts compares the compositions with the context
+    composed = (p1.species_order + q.species_order, p2.species_order + q.species_order)
+    _refuse(equivalence.delta_problems(cfg, *composed))
     probe = equivalence.congruence_probe(p1, p2, q, cfg, max_states=args.max_states)
     report = _report(
         args,

@@ -2,7 +2,7 @@
 
 Both checks play the same matching game over pairs of states.  A strong
 slow step of either state must be answered by a weak slow step of the
-other with the same action name and the same filtered label (after alias
+other with the same filtered label (action name and entries, after alias
 renaming), landing back in the relation.  The fast-slow game additionally
 requires every fast step to be answered by a (possibly empty) fast
 sequence.  Verifying a user-supplied relation checks each stored pair in
@@ -21,6 +21,7 @@ unanswered move at the initial pair against the final relation.
 
 from __future__ import annotations
 
+import reprlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
@@ -86,12 +87,7 @@ class Witness:
     def describe(self) -> str:
         src = self.pair[0] if self.side == "left" else self.pair[1]
         other = "right" if self.side == "left" else "left"
-        if self.kind == "slow":
-            assert self.label is not None
-            entries = " ".join(str(e) for e in self.label.sorted_entries())
-            move = f"slow step ({self.action}, {{{entries}}})"
-        else:
-            move = "fast step"
+        move = f"slow step {self.label}" if self.kind == "slow" else "fast step"
         left, right = (format_state(s) for s in self.pair)
         return (
             f"at pair ({left}, {right}): "
@@ -133,24 +129,25 @@ class _Game:
         witnesses name the more informative labelled move when several
         clauses fail at once.
         """
-        states = (self.a.states[p], self.b.states[q])
-        for action, label, p2 in self.va.slow_strong(p):
-            targets = self.vb.weak_slow_targets(q, action, label)
+        a_states, b_states = self.a.states, self.b.states
+        states = (a_states[p], b_states[q])
+        for label, p2 in self.va.slow_strong(p):
+            targets = self.vb.weak_slow_targets(q, label)
             if not any((p2, q2) in rel for q2 in targets):
-                return Witness(states, "left", "slow", action, label, self.a.states[p2])
-        for action, label, q2 in self.vb.slow_strong(q):
-            targets = self.va.weak_slow_targets(p, action, label)
+                return Witness(states, "left", "slow", label.action, label, a_states[p2])
+        for label, q2 in self.vb.slow_strong(q):
+            targets = self.va.weak_slow_targets(p, label)
             if not any((p2, q2) in rel for p2 in targets):
-                return Witness(states, "right", "slow", action, label, self.b.states[q2])
+                return Witness(states, "right", "slow", label.action, label, b_states[q2])
         if self.include_fast:
             for p2 in self.va.fast_steps(p):
                 closure = self.vb.fast_closure(q)
                 if not any((p2, q2) in rel for q2 in closure):
-                    return Witness(states, "left", "fast", None, None, self.a.states[p2])
+                    return Witness(states, "left", "fast", None, None, a_states[p2])
             for q2 in self.vb.fast_steps(q):
                 closure = self.va.fast_closure(p)
                 if not any((p2, q2) in rel for p2 in closure):
-                    return Witness(states, "right", "fast", None, None, self.b.states[q2])
+                    return Witness(states, "right", "fast", None, None, b_states[q2])
         return None
 
 
@@ -195,7 +192,7 @@ def _index(
     """Move-key groups and predecessor sets of the states of one side.
 
     States are grouped by (strong slow keys, weak slow keys), a key being
-    (action, filtered label).  The strong predecessors of x are the
+    a filtered label.  The strong predecessors of x are the
     states with a challenger move into x (a slow step, or a fast step in
     fast-slow mode); the weak predecessors are the states with a defender
     answer landing in x (a weak slow target, or a fast-closure member in
@@ -207,9 +204,9 @@ def _index(
     for s in range(n):
         slow = views.slow_strong(s)
         weak_moves = views.weak_slow_moves(s)
-        strong_keys = frozenset((action, label) for action, label, _ in slow)
+        strong_keys = frozenset(label for label, _ in slow)
         groups.setdefault((strong_keys, frozenset(weak_moves)), []).append(s)
-        for _, _, dst in slow:
+        for _, dst in slow:
             strong[dst].add(s)
         for targets in weak_moves.values():
             for dst in targets:
@@ -363,34 +360,48 @@ def config_problems(cfg: EquivConfig, a: Lts, b: Lts) -> list[str]:
     for action in sorted(a.actions() | b.actions()):
         if action not in cfg.fast and action not in cfg.slow:
             problems.append(f"unpartitioned-action({action})")
-    known = set(a.species_order) | {cfg.canon(s) for s in b.species_order}
-    for name in sorted(cfg.delta):
-        if name not in known:
-            problems.append(f"unknown-species-in-delta({name})")
-    return problems
+    return problems + delta_problems(cfg, a.species_order, b.species_order)
+
+
+def delta_problems(cfg: EquivConfig, a: Iterable[str], b: Iterable[str]) -> list[str]:
+    """Comparison species named by neither side's species, b's through the aliases."""
+    known = set(a) | {cfg.canon(s) for s in b}
+    return [f"unknown-species-in-delta({n})" for n in sorted(cfg.delta) if n not in known]
+
+
+def read_pair(item) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One relation entry: a [first-vector, second-vector] pair.
+
+    Each vector must be an array of integers.  Booleans, fractions,
+    strings and scalars are refused, never coerced.
+    """
+    if not isinstance(item, (list, tuple)) or len(item) != 2:
+        raise RelationFormatError(
+            "relation entries must be [first-vector, second-vector] pairs"
+        )
+    for vector, side in zip(item, ("first-model", "second-model")):
+        if not isinstance(vector, (list, tuple)) or any(type(x) is not int for x in vector):
+            shown = reprlib.repr(vector)  # bounded in length and depth
+            raise RelationFormatError(f"{side} vector {shown} is not an integer array")
+    return tuple(item[0]), tuple(item[1])
 
 
 def resolve_relation(pairs: Iterable, a: Lts, b: Lts) -> PairRelation:
     """Turn pairs of level vectors into a PairRelation over state indices.
 
-    Each element must be a two-element sequence (first-model vector,
-    second-model vector); vectors that match no reachable state are
-    errors, never silently dropped.
+    Each element is read by ``read_pair``; vectors that match no
+    reachable state are errors, never silently dropped.
     """
     out = set()
     for item in pairs:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise RelationFormatError(
-                "relation entries must be [first-vector, second-vector] pairs"
-            )
-        va, vb = item
+        va, vb = read_pair(item)
         try:
-            p = a.index_of(tuple(int(x) for x in va))
-        except (KeyError, TypeError, ValueError, OverflowError):
+            p = a.index_of(va)
+        except KeyError:
             raise RelationResolutionError(va, "first-model") from None
         try:
-            q = b.index_of(tuple(int(x) for x in vb))
-        except (KeyError, TypeError, ValueError, OverflowError):
+            q = b.index_of(vb)
+        except KeyError:
             raise RelationResolutionError(vb, "second-model") from None
         out.add((p, q))
     return PairRelation(frozenset(out))

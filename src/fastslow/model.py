@@ -35,13 +35,14 @@ class OverlappingActionsError(ModelError):
         self.actions = frozenset(actions)
 
 
-class Role(enum.Enum):
+class Role(str, enum.Enum):
     """Role a species plays in one reaction.
 
     Only reactants and products change level; activators, inhibitors and
     generic modifiers take part in a reaction without being consumed or
     produced.  The enum values are the concrete operator spellings used
-    by the model language.
+    by the model language, and roles order as their spellings.  Render a
+    role through ``.value``: formatting a member differs between versions.
     """
 
     REACTANT = "<<"

@@ -3,10 +3,11 @@
 States of a well-defined model differ only in species levels, so a state
 is a level vector over the declared species order.  A transition carries a
 capability label: the action name plus one entry per participating
-species recording its role, its level at the source state and its
-stoichiometry.  Reactants drop by their stoichiometry, products rise,
-modifiers stay put; a reaction shared under cooperation needs all sides
-to contribute and their entries are merged.
+species, in species-name order, recording its role, its level at the
+source state and its stoichiometry.  Reactants drop by their
+stoichiometry, products rise, modifiers stay put; a reaction shared
+under cooperation needs all sides to contribute and their entries are
+merged.
 
 Each model is compiled once into a table with one row per reaction
 instance: an action together with the leaves that fire it jointly, each
@@ -62,8 +63,7 @@ class UnpartitionedActionError(Exception):
         self.action = action
 
 
-@dataclass(frozen=True)
-class LabelEntry:
+class LabelEntry(NamedTuple):
     """Participation record of one species in one reaction instance."""
 
     species: str
@@ -74,25 +74,19 @@ class LabelEntry:
     def __str__(self) -> str:
         return f"{self.species}:{self.role.value}({self.level},{self.stoich})"
 
-    def sort_key(self) -> tuple:
-        return (self.species, self.role.value, self.level, self.stoich)
 
+class CapabilityLabel(NamedTuple):
+    """Action name plus the participating-species entries in sorted order.
 
-@dataclass(frozen=True)
-class CapabilityLabel:
-    """Action name plus the set of participating-species entries."""
+    Entries order as tuples: by species, role spelling, level and
+    stoichiometry.  A label is its own sort key.
+    """
 
     action: str
-    entries: frozenset[LabelEntry]
-
-    def sorted_entries(self) -> tuple[LabelEntry, ...]:
-        return tuple(sorted(self.entries, key=LabelEntry.sort_key))
-
-    def sort_key(self) -> tuple:
-        return (self.action, tuple(e.sort_key() for e in self.sorted_entries()))
+    entries: tuple[LabelEntry, ...]
 
     def __str__(self) -> str:
-        inner = ", ".join(str(e) for e in self.sorted_entries())
+        inner = " ".join(str(e) for e in self.entries)
         return f"({self.action}, {{{inner}}})"
 
 
@@ -146,9 +140,8 @@ class Lts:
 class _Row(NamedTuple):
     """One reaction instance: an action and the leaves that all take part.
 
-    Participants are kept in species-name order, the order of
-    ``LabelEntry.sort_key``, so labels and their sort keys are built
-    without sorting.
+    Participants are kept in species-name order, so the entries of each
+    label come out sorted.
     """
 
     action: str
@@ -156,7 +149,7 @@ class _Row(NamedTuple):
     changes: tuple[tuple[int, int], ...]  # (state index, level delta), deltas != 0
     levels: Callable[[State], object]  # participant levels, the label cache key
     fields: tuple[tuple[str, Role, int], ...]  # (species, role, stoich)
-    labels: dict[object, tuple[tuple, CapabilityLabel]]  # levels -> (sort key, label)
+    labels: dict[object, CapabilityLabel]  # participant levels -> label
 
 
 def _instances(
@@ -207,14 +200,13 @@ def _guard(role: Role, stoich: int, limit: int) -> tuple[int, int]:
 
 def _label(
     action: str, fields: tuple[tuple[str, Role, int], ...], levels: tuple[int, ...]
-) -> tuple[tuple, CapabilityLabel]:
-    """A row's label at the given participant levels, with its sort key."""
-    entries = tuple(
+) -> CapabilityLabel:
+    """A row's label at the given participant levels."""
+    entries = (
         LabelEntry(species, role, level, stoich)
         for (species, role, stoich), level in zip(fields, levels)
     )
-    sort_key = (action, tuple(e.sort_key() for e in entries))
-    return sort_key, CapabilityLabel(action, frozenset(entries))
+    return CapabilityLabel(action, tuple(entries))
 
 
 class _Compiled:
@@ -225,7 +217,7 @@ class _Compiled:
     prefix per action, so the instances do not depend on the state:
     stepping checks every row's guards against the levels and fires the
     rows that pass.  Labels are interned per row by the participants'
-    levels, together with their sort key.
+    levels.
     """
 
     def __init__(self, sys: SystemDef):
@@ -260,8 +252,8 @@ class _Compiled:
                 )
         self.rows = tuple(rows)
 
-    def moves(self, state: State) -> list[tuple[tuple, CapabilityLabel, State]]:
-        """``(sort key, label, target)`` of every row enabled at ``state``."""
+    def moves(self, state: State) -> list[tuple[CapabilityLabel, State]]:
+        """``(label, target)`` of every row enabled at ``state``."""
         out = []
         for action, guards, changes, levels, fields, labels in self.rows:
             for i, lo, hi in guards:
@@ -278,9 +270,9 @@ class _Compiled:
                     target = list(state)
                     for i, delta in changes:
                         target[i] += delta
-                    out.append((hit[0], hit[1], tuple(target)))
+                    out.append((hit, tuple(target)))
                 else:
-                    out.append((hit[0], hit[1], state))
+                    out.append((hit, state))
         return out
 
 
@@ -291,8 +283,7 @@ def initial_state(sys: SystemDef) -> State:
 def step(sys: SystemDef, state: State) -> list[tuple[CapabilityLabel, State]]:
     """All capability transitions from one state, deterministically ordered."""
     moves = _Compiled(sys).moves(tuple(state))
-    moves.sort(key=lambda move: (move[2], move[0]))
-    return [(label, target) for _, label, target in moves]
+    return sorted(moves, key=lambda move: (move[1], move[0]))
 
 
 def build_lts(sys: SystemDef, max_states: int = DEFAULT_STATE_CAP) -> Lts:
@@ -310,7 +301,7 @@ def build_lts(sys: SystemDef, max_states: int = DEFAULT_STATE_CAP) -> Lts:
     src = 0
     while src < len(states):
         moves = compiled.moves(states[src])
-        for target in sorted(move[2] for move in moves):
+        for target in sorted(move[1] for move in moves):
             if target not in index:
                 if len(states) >= max_states:
                     raise StateSpaceLimitError(max_states)
@@ -319,7 +310,7 @@ def build_lts(sys: SystemDef, max_states: int = DEFAULT_STATE_CAP) -> Lts:
         # one move per row, and rows differ in their participants, so the
         # labels from one state are distinct and order its transitions
         moves.sort(key=itemgetter(0))
-        for _, label, target in moves:
+        for label, target in moves:
             transitions.append(Transition(src, label, index[target]))
         src += 1
     return Lts(
@@ -335,23 +326,26 @@ def filter_label(label: CapabilityLabel, cfg: EquivConfig) -> CapabilityLabel:
 
     Entries are renamed through the alias map first; only entries whose
     canonical species is in delta survive.  The action name is untouched.
+    Renaming can reorder entries and make two of them equal, so the kept
+    entries are sorted and each is kept once.
     """
-    kept = []
+    kept = set()
     for e in label.entries:
         name = cfg.canon(e.species)
         if name in cfg.delta:
-            kept.append(e if name == e.species else LabelEntry(name, e.role, e.level, e.stoich))
-    return CapabilityLabel(label.action, frozenset(kept))
+            kept.add(e if name == e.species else e._replace(species=name))
+    return CapabilityLabel(label.action, tuple(sorted(kept)))
 
 
 class WeakViews:
     """Fast and slow projections of an Lts under an action partition.
 
     The fast step relation drops labels entirely (one edge per state
-    pair, underlying action names kept for diagnostics only).  The slow
-    strong view keeps the action and the filtered label.  The weak slow
-    view chains fast closure around one slow step; closures and weak
-    target sets are memoised per state.
+    pair; ``fast_step_actions`` reads the action names off the Lts for
+    diagnostics).  The slow strong view keeps the filtered label, which
+    holds the action, and is keyed by it.  The weak slow view chains fast
+    closure around one slow step; closures and weak target sets are
+    memoised per state.
     """
 
     def __init__(self, lts: Lts, cfg: EquivConfig):
@@ -361,27 +355,26 @@ class WeakViews:
         self.lts = lts
         self.cfg = cfg
         fast_succ: list[set[int]] = [set() for _ in lts.states]
-        fast_actions: dict[tuple[int, int], set[str]] = {}
-        slow: list[list[tuple[str, CapabilityLabel, int]]] = [[] for _ in lts.states]
+        slow: list[list[tuple[CapabilityLabel, int]]] = [[] for _ in lts.states]
         for t in lts.transitions:
             if t.label.action in cfg.fast:
                 fast_succ[t.src].add(t.dst)
-                fast_actions.setdefault((t.src, t.dst), set()).add(t.label.action)
             else:
-                move = (t.label.action, filter_label(t.label, cfg), t.dst)
+                move = (filter_label(t.label, cfg), t.dst)
                 if move not in slow[t.src]:
                     slow[t.src].append(move)
         self._fast_succ = tuple(tuple(sorted(s)) for s in fast_succ)
-        self._fast_actions = {k: tuple(sorted(v)) for k, v in fast_actions.items()}
         self._slow = tuple(tuple(moves) for moves in slow)
         self._closure: dict[int, frozenset[int]] = {}
-        self._weak: dict[int, dict[tuple[str, CapabilityLabel], frozenset[int]]] = {}
+        self._weak: dict[int, dict[CapabilityLabel, frozenset[int]]] = {}
 
     def fast_steps(self, state: int) -> tuple[int, ...]:
         return self._fast_succ[state]
 
     def fast_step_actions(self, src: int, dst: int) -> tuple[str, ...]:
-        return self._fast_actions.get((src, dst), ())
+        """The fast actions of the steps from ``src`` to ``dst``, sorted."""
+        actions = {t.label.action for t in self.lts.outgoing(src) if t.dst == dst}
+        return tuple(sorted(actions & self.cfg.fast))
 
     def fast_closure(self, state: int) -> frozenset[int]:
         cached = self._closure.get(state)
@@ -398,28 +391,22 @@ class WeakViews:
             self._closure[state] = cached
         return cached
 
-    def slow_strong(self, state: int) -> tuple[tuple[str, CapabilityLabel, int], ...]:
+    def slow_strong(self, state: int) -> tuple[tuple[CapabilityLabel, int], ...]:
         return self._slow[state]
 
-    def weak_slow_moves(
-        self, state: int
-    ) -> dict[tuple[str, CapabilityLabel], frozenset[int]]:
+    def weak_slow_moves(self, state: int) -> dict[CapabilityLabel, frozenset[int]]:
         cached = self._weak.get(state)
         if cached is None:
-            targets: dict[tuple[str, CapabilityLabel], set[int]] = {}
+            targets: dict[CapabilityLabel, set[int]] = {}
             for mid in self.fast_closure(state):
-                for action, label, dst in self._slow[mid]:
-                    targets.setdefault((action, label), set()).update(
-                        self.fast_closure(dst)
-                    )
+                for label, dst in self._slow[mid]:
+                    targets.setdefault(label, set()).update(self.fast_closure(dst))
             cached = {k: frozenset(v) for k, v in targets.items()}
             self._weak[state] = cached
         return cached
 
-    def weak_slow_targets(
-        self, state: int, action: str, label: CapabilityLabel
-    ) -> frozenset[int]:
-        return self.weak_slow_moves(state).get((action, label), frozenset())
+    def weak_slow_targets(self, state: int, label: CapabilityLabel) -> frozenset[int]:
+        return self.weak_slow_moves(state).get(label, frozenset())
 
 
 def lts_to_dict(lts: Lts) -> dict:
@@ -439,7 +426,7 @@ def lts_to_dict(lts: Lts) -> dict:
                         "level": e.level,
                         "stoich": e.stoich,
                     }
-                    for e in t.label.sorted_entries()
+                    for e in t.label.entries
                 ],
                 "dst": t.dst,
             }
@@ -461,8 +448,7 @@ def lts_to_dot(lts: Lts, cfg: EquivConfig | None = None) -> str:
         if cfg is None:
             label = t.label.action
         else:
-            entries = filter_label(t.label, cfg).sorted_entries()
-            inner = " ".join(str(e) for e in entries)
+            inner = " ".join(str(e) for e in filter_label(t.label, cfg).entries)
             label = f"{t.label.action}; {{{inner}}}"
         lines.append(f'  {t.src} -> {t.dst} [label="{label}"];')
     lines.append("}")

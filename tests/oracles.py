@@ -77,7 +77,7 @@ def step_tree_oracle(
                 i = index[name]
                 entries.add(LabelEntry(name, p.role, state[i], p.stoich))
                 target[i] += p.role.level_delta(p.stoich)
-            result.append((CapabilityLabel(action, frozenset(entries)), tuple(target)))
+            result.append((CapabilityLabel(action, tuple(sorted(entries))), tuple(target)))
     return result
 
 

@@ -263,8 +263,8 @@ class TestCheckCommand:
     @pytest.mark.parametrize(
         "mode, message",
         [
-            ("fast-slow", "no reachable first-model state has level vector [inf]"),
-            ("shortcut", "rel.json: entries must be [first-coordinates, second-coordinates] pairs"),
+            ("fast-slow", "rel.json: first-model vector [inf] is not an integer array"),
+            ("shortcut", "rel.json: first-model vector [inf] is not an integer array"),
         ],
         ids=["fast-slow", "shortcut"],
     )
@@ -274,6 +274,59 @@ class TestCheckCommand:
         )
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize("mode", ["fast-slow", "shortcut"])
+    @pytest.mark.parametrize(
+        "relation, message",
+        [
+            # once coerced to the state (5,3,0,0,0,0)
+            ("[[[5.9,3,0,0,0,0],[5,3,0,0]]]", "first-model vector [5.9, 3, 0, 0, 0, 0]"),
+            # once read digit by digit as (5,3)
+            ('[["53",[5,3,0,0]]]', "first-model vector '53'"),
+            # once read as 1
+            ("[[[5,3,0,0,0,0],[5,3,0,true]]]", "second-model vector [5, 3, 0, True]"),
+            # once a TypeError traceback
+            ("[[5,[5,3,0,0]]]", "first-model vector 5"),
+            ("[[true,[5,3,0,0]]]", "first-model vector True"),
+        ],
+        ids=["fraction", "string", "boolean-entry", "scalar", "boolean-scalar"],
+    )
+    def test_non_integer_vector_exits_2(
+        self, fixtures, capsys, tmp_path, relation, message, mode
+    ):
+        code, out, err = check_relation(
+            fixtures, capsys, tmp_path, relation, "--mode", mode
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"{tmp_path / 'rel.json'}: {message} is not an integer array\n"
+
+    @pytest.mark.parametrize("mode", ["fast-slow", "slow", "shortcut"])
+    def test_unknown_delta_species_exits_2(self, fixtures, capsys, tmp_path, mode):
+        cfg = tmp_path / "delta.cfg"
+        text = (fixtures / "inhibition.cfg").read_text()
+        cfg.write_text(text.replace("delta: P\n", "delta: P, Q\n"))
+        rel_path = tmp_path / "rel.json"
+        pairs = [
+            [list(a), list(b)]
+            for a, b in inhibition_relation_transformed(5, 3, 0)
+        ]
+        rel_path.write_text(json.dumps(pairs))
+        relation = ["--relation", rel_path] if mode == "shortcut" else []
+        code, out, err = run(
+            capsys,
+            "check",
+            fixtures / "inhibition_full.bp",
+            fixtures / "inhibition_reduced.bp",
+            "--config",
+            cfg,
+            "--mode",
+            mode,
+            *relation,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "unknown-species-in-delta(Q)\n"
 
     def test_shortcut_precondition_exits_5(self, fixtures, capsys, tmp_path):
         rel_path = tmp_path / "rel.json"
@@ -408,6 +461,38 @@ class TestCongruenceCommand:
         assert "shared fast actions with context: a" in out
         assert "composed verdict: not-equivalent" in out
 
+    def test_unknown_delta_species_exits_2(self, fixtures, capsys, tmp_path):
+        cfg = tmp_path / "delta.cfg"
+        cfg.write_text((fixtures / "burst.cfg").read_text() + "delta: Nope\n")
+        code, out, err = run(
+            capsys,
+            "congruence",
+            fixtures / "burst_a.bp",
+            fixtures / "burst_b.bp",
+            fixtures / "drain_ctx.bp",
+            "--config",
+            cfg,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "unknown-species-in-delta(Nope)\n"
+
+    def test_delta_may_name_context_species(self, fixtures, capsys, tmp_path):
+        # the compositions with the context hold its species S
+        cfg = tmp_path / "delta.cfg"
+        cfg.write_text((fixtures / "burst.cfg").read_text() + "delta: S\n")
+        code, out, _ = run(
+            capsys,
+            "congruence",
+            fixtures / "burst_a.bp",
+            fixtures / "burst_b.bp",
+            fixtures / "drain_ctx.bp",
+            "--config",
+            cfg,
+        )
+        assert code == 1
+        assert "composed verdict: not-equivalent" in out
+
     def test_state_cap_exits_3(self, fixtures, capsys):
         code, _, err = run(
             capsys,
@@ -533,6 +618,8 @@ class TestCliFuzz:
     @example(COMMANDS[4], MODEL_BASE.encode(), CONFIG_BASE.encode(), f"[[[{LONG_LITERAL}]]]".encode())
     @example(COMMANDS[4], MODEL_BASE.encode(), CONFIG_BASE.encode(), b"[[[1e400], [1]]]")
     @example(COMMANDS[5], MODEL_BASE.encode(), CONFIG_BASE.encode(), b"[[[1e400], [1]]]")
+    @example(COMMANDS[4], MODEL_BASE.encode(), CONFIG_BASE.encode(), b"[[5, [1, 1, 0]]]")
+    @example(COMMANDS[4], MODEL_BASE.encode(), CONFIG_BASE.encode(), b"[[true, [1, 1, 0]]]")
     def test_exit_code_without_traceback(self, command, model, config, relation):
         inputs = {"m": model, "c": config, "r": relation, "q": CONTEXT.encode()}
         with tempfile.TemporaryDirectory() as tmp:

@@ -26,6 +26,7 @@ from fastslow import (
     largest_fast_slow,
     lts_to_dict,
     lts_to_dot,
+    parse_config,
     parse_model,
     step,
     stoich_matrix,
@@ -45,6 +46,16 @@ def entry(species, role, level, stoich=1):
     return LabelEntry(species, role, level, stoich)
 
 
+def entry_key(e: LabelEntry) -> tuple:
+    """The canonical entry order, spelled out with the role's spelling."""
+    return (e.species, e.role.value, e.level, e.stoich)
+
+
+def label_key(label: CapabilityLabel) -> tuple:
+    """The canonical label order: the action, then the entries' keys."""
+    return (label.action, tuple(entry_key(e) for e in label.entries))
+
+
 class TestStep:
     def test_full_initial_state_single_move(self):
         sys = inhibition_full(5, 3, 0)
@@ -52,12 +63,10 @@ class TestStep:
         assert len(moves) == 1
         label, target = moves[0]
         assert label.action == "b1"
-        assert label.entries == frozenset(
-            {
-                entry("S", Role.REACTANT, 5),
-                entry("E", Role.REACTANT, 3),
-                entry("SE", Role.PRODUCT, 0),
-            }
+        assert label.entries == (
+            entry("E", Role.REACTANT, 3),
+            entry("S", Role.REACTANT, 5),
+            entry("SE", Role.PRODUCT, 0),
         )
         assert target == (4, 2, 0, 0, 0, 1)
 
@@ -73,13 +82,11 @@ class TestStep:
         assert len(moves) == 1
         label, target = moves[0]
         assert label.action == "g"
-        assert label.entries == frozenset(
-            {
-                entry("S'", Role.REACTANT, 5),
-                entry("E'", Role.ACTIVATOR, 3),
-                entry("I'", Role.INHIBITOR, 0),
-                entry("P'", Role.PRODUCT, 0),
-            }
+        assert label.entries == (
+            entry("E'", Role.ACTIVATOR, 3),
+            entry("I'", Role.INHIBITOR, 0),
+            entry("P'", Role.PRODUCT, 0),
+            entry("S'", Role.REACTANT, 5),
         )
         assert target == (4, 3, 0, 1)
 
@@ -184,7 +191,8 @@ class TestBuildLts:
 
 class TestStepAgainstTreeOracle:
     """The compiled reaction-instance table against the recursive walk of
-    the cooperation tree, state by state."""
+    the cooperation tree, state by state, and the label order pinned by
+    ``entry_key`` and ``label_key``."""
 
     @staticmethod
     def assert_agrees(sys: SystemDef) -> None:
@@ -196,11 +204,15 @@ class TestStepAgainstTreeOracle:
             got = step(sys, state)
             assert len(got) == len(expected)
             assert set(got) == set(expected)
-            assert got == sorted(got, key=lambda move: (move[1], move[0].sort_key()))
+            for label, _ in got:
+                assert list(label.entries) == sorted(label.entries, key=entry_key)
+            assert got == sorted(got, key=lambda move: (move[1], label_key(move[0])))
             out = [(t.label, lts.states[t.dst]) for t in lts.outgoing(i)]
             assert len(out) == len(expected)
             assert set(out) == set(expected)
-        keys = [(t.src, t.label.sort_key(), t.dst) for t in lts.transitions]
+            keys = [label_key(label) for label, _ in out]
+            assert keys == sorted(keys)
+        keys = [(t.src, label_key(t.label), t.dst) for t in lts.transitions]
         assert keys == sorted(keys)
 
     @pytest.mark.parametrize("sync_all", [True, False])
@@ -230,6 +242,12 @@ class TestStepAgainstTreeOracle:
         for name in ("burst_a.bp", "burst_b.bp", "drain_ctx.bp", "explicit_coop.bp"):
             self.assert_agrees(parse_model((fixtures / name).read_text()))
 
+    def test_every_fixture_model(self, fixtures):
+        paths = sorted(p for p in fixtures.glob("*.bp") if p.name != "broken.bp")
+        assert len(paths) == 9
+        for path in paths:
+            self.assert_agrees(parse_model(path.read_text()))
+
 
 class TestFilterLabel:
     CFG = inhibition_config()
@@ -237,22 +255,34 @@ class TestFilterLabel:
     def test_keeps_only_delta(self):
         label = CapabilityLabel(
             "g",
-            frozenset(
-                {
-                    entry("P", Role.PRODUCT, 1, 2),
-                    entry("SE", Role.REACTANT, 1),
-                    entry("E", Role.PRODUCT, 1),
-                }
+            (
+                entry("E", Role.PRODUCT, 1),
+                entry("P", Role.PRODUCT, 1, 2),
+                entry("SE", Role.REACTANT, 1),
             ),
         )
         filtered = filter_label(label, self.CFG)
         assert filtered.action == "g"
-        assert filtered.entries == frozenset({entry("P", Role.PRODUCT, 1, 2)})
+        assert filtered.entries == (entry("P", Role.PRODUCT, 1, 2),)
 
     def test_alias_renames(self):
-        label = CapabilityLabel("g", frozenset({entry("P'", Role.PRODUCT, 4)}))
-        assert filter_label(label, self.CFG).entries == frozenset(
-            {entry("P", Role.PRODUCT, 4)}
+        label = CapabilityLabel("g", (entry("P'", Role.PRODUCT, 4),))
+        assert filter_label(label, self.CFG).entries == (entry("P", Role.PRODUCT, 4),)
+
+    def test_alias_merges_and_reorders(self):
+        cfg = EquivConfig(frozenset(), frozenset({"g"}), frozenset({"A"}), {"B": "A"})
+        # B:<<(2,1) becomes a second A:<<(2,1), kept once
+        merged = CapabilityLabel(
+            "g", (entry("A", Role.REACTANT, 2), entry("B", Role.REACTANT, 2))
+        )
+        assert filter_label(merged, cfg).entries == (entry("A", Role.REACTANT, 2),)
+        # the renamed entry sorts before A:>> by role spelling, "<<" < ">>"
+        moved = CapabilityLabel(
+            "g", (entry("A", Role.PRODUCT, 0), entry("B", Role.REACTANT, 3))
+        )
+        assert filter_label(moved, cfg).entries == (
+            entry("A", Role.REACTANT, 3),
+            entry("A", Role.PRODUCT, 0),
         )
 
     def test_full_delta_identity(self):
@@ -260,8 +290,7 @@ class TestFilterLabel:
             fast=frozenset(), slow=frozenset({"g"}), delta=frozenset({"P", "SE", "E"})
         )
         label = CapabilityLabel(
-            "g",
-            frozenset({entry("P", Role.PRODUCT, 1), entry("SE", Role.REACTANT, 1)}),
+            "g", (entry("P", Role.PRODUCT, 1), entry("SE", Role.REACTANT, 1))
         )
         assert filter_label(label, cfg) == label
 
@@ -282,14 +311,16 @@ class TestFilterLabel:
             )
         )
         split = data.draw(st.integers(min_value=0, max_value=len(entries)))
-        w1, w2 = frozenset(entries[:split]), frozenset(entries[split:])
+        w1, w2 = set(entries[:split]), set(entries[split:])
         delta = frozenset(data.draw(st.sets(st.sampled_from(species + ["Z"]))))
         aliases = {"B": "A"} if data.draw(st.booleans()) else {}
         cfg = EquivConfig(frozenset(), frozenset({"g"}), delta, aliases)
-        whole = filter_label(CapabilityLabel("g", w1 | w2), cfg)
-        left = filter_label(CapabilityLabel("g", w1), cfg)
-        right = filter_label(CapabilityLabel("g", w2), cfg)
-        assert whole.entries == left.entries | right.entries
+        whole = filter_label(CapabilityLabel("g", tuple(sorted(w1 | w2))), cfg)
+        left = filter_label(CapabilityLabel("g", tuple(sorted(w1))), cfg)
+        right = filter_label(CapabilityLabel("g", tuple(sorted(w2))), cfg)
+        assert set(whole.entries) == set(left.entries) | set(right.entries)
+        # renaming B to A can reorder entries and merge two into one
+        assert list(whole.entries) == sorted(set(whole.entries), key=entry_key)
 
 
 class TestWeakViews:
@@ -303,8 +334,8 @@ class TestWeakViews:
         lts = build_lts(inhibition_full(5, 3, 0))
         views = WeakViews(lts, inhibition_config())
         i0 = lts.index_of((5, 3, 0, 0, 0, 0))
-        label = CapabilityLabel("g", frozenset({entry("P", Role.PRODUCT, 0)}))
-        targets = views.weak_slow_targets(i0, "g", label)
+        label = CapabilityLabel("g", (entry("P", Role.PRODUCT, 0),))
+        targets = views.weak_slow_targets(i0, label)
         expected = {
             lts.index_of(s)
             for s in [(4, 3, 0, 1, 0, 0), (3, 2, 0, 1, 0, 1), (2, 1, 0, 1, 0, 2), (1, 0, 0, 1, 0, 3)]
@@ -318,10 +349,29 @@ class TestWeakViews:
         lts = build_lts(inhibition_full(n, m, p))
         views = WeakViews(lts, inhibition_config())
         blocked = lts.index_of((3, 0, 1, 0, 1, 0))  # S,E,I,P,EI,SE with EI = m
-        label = CapabilityLabel("g", frozenset({entry("P", Role.PRODUCT, 0)}))
-        targets = views.weak_slow_targets(blocked, "g", label)
+        label = CapabilityLabel("g", (entry("P", Role.PRODUCT, 0),))
+        targets = views.weak_slow_targets(blocked, label)
         landed = lts.index_of((2, 1, 2, 1, 0, 0))  # one product made, EI unbound
         assert landed in targets
+
+    def test_fast_step_actions_on_inhibition_fixture(self, fixtures):
+        lts = build_lts(parse_model((fixtures / "inhibition_full.bp").read_text()))
+        cfg = parse_config((fixtures / "inhibition.cfg").read_text())
+        views = WeakViews(lts, cfg)
+        start = lts.index_of((5, 3, 0, 0, 0, 0))
+        bound = lts.index_of((4, 2, 0, 0, 0, 1))  # one S bound to E as SE
+        made = lts.index_of((4, 3, 0, 1, 0, 0))  # SE turned into P by g
+        assert views.fast_steps(start) == (bound,)
+        assert views.fast_step_actions(start, bound) == ("b1",)
+        assert views.fast_step_actions(bound, start) == ("bm1",)
+        assert views.fast_step_actions(bound, made) == ()  # g is slow
+        assert views.fast_step_actions(start, made) == ()  # no step at all
+        fast = [t for t in lts.transitions if t.label.action in cfg.fast]
+        assert {t.label.action for t in fast} == {"b1", "bm1"}
+        for t in fast:
+            assert views.fast_step_actions(t.src, t.dst) == (t.label.action,)
+        edges = sum(len(views.fast_steps(s)) for s in range(lts.n_states))
+        assert edges == len(fast)
 
     def test_unpartitioned_action_rejected(self):
         lts = build_lts(inhibition_full(2, 1, 0))
@@ -349,9 +399,9 @@ class TestWeakViews:
                 assert views.fast_closure(i) == frozenset(closure[i])
             oracle = weak_slow_oracle(lts, cfg)
             moves = {
-                (i, a, w): set(ts)
+                (i, w.action, w): set(ts)
                 for i in range(lts.n_states)
-                for (a, w), ts in views.weak_slow_moves(i).items()
+                for w, ts in views.weak_slow_moves(i).items()
             }
             assert moves == oracle
 
