@@ -74,7 +74,6 @@ from .semantics import (
     WeakViews,
     build_lts,
     filter_label,
-    initial_state,
     lts_to_dict,
     lts_to_dot,
     step,

@@ -265,10 +265,6 @@ class VariableClassification:
     warnings: tuple[str, ...] = ()
 
     @property
-    def n_c(self) -> int:
-        return len(self.conserved)
-
-    @property
     def n_s(self) -> int:
         return len(self.slow)
 

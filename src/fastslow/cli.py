@@ -14,6 +14,7 @@ Exit codes: 0 success or equivalent, 1 not equivalent, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -21,7 +22,7 @@ import time
 from pathlib import Path
 
 from . import classification, equivalence, parser, semantics
-from .model import EquivConfig, ModelError, SystemDef, extend_species
+from .model import ModelError, compose, extend_species
 from .semantics import StateSpaceLimitError
 
 EXIT_OK = 0
@@ -47,19 +48,11 @@ def _read(path: str) -> str:
         ) from None
 
 
-def _load_model(path: str) -> SystemDef:
+def _load(path: str, parse):
+    """A model or configuration file read through ``parse``."""
     text = _read(path)
     try:
-        return parser.parse_model(text)
-    except parser.ParseError as exc:
-        lines = [f"{path}:{d}" for d in exc.diagnostics]
-        raise _InputError("\n".join(lines)) from None
-
-
-def _load_config(path: str) -> EquivConfig:
-    text = _read(path)
-    try:
-        return parser.parse_config(text)
+        return parse(text)
     except parser.ParseError as exc:
         lines = [f"{path}:{d}" for d in exc.diagnostics]
         raise _InputError("\n".join(lines)) from None
@@ -112,9 +105,9 @@ def _refuse(problems: list[str]) -> None:
 
 
 def cmd_lts(args) -> int:
-    sys_def = _load_model(args.model)
+    sys_def = _load(args.model, parser.parse_model)
+    cfg = _load(args.config, parser.parse_config) if args.config else None
     lts = semantics.build_lts(sys_def, max_states=args.max_states)
-    cfg = _load_config(args.config) if args.config else None
     if args.format == "dot":
         document = semantics.lts_to_dot(lts, cfg)
     else:
@@ -138,15 +131,15 @@ def _verdict_exit(outcome: equivalence.CheckOutcome, relation_supplied: bool) ->
 
 
 def cmd_check(args) -> int:
-    sys_a = _load_model(args.model_a)
-    sys_b = _load_model(args.model_b)
-    cfg = _load_config(args.config)
+    sys_a = _load(args.model_a, parser.parse_model)
+    sys_b = _load(args.model_b, parser.parse_model)
+    cfg = _load(args.config, parser.parse_config)
+    if args.mode == "shortcut" and not args.relation:
+        raise _InputError("mode shortcut needs --relation (transformed coordinates)")
+    _refuse(equivalence.config_problems(cfg, sys_a, sys_b))
+    pairs = _load_relation(args.relation) if args.relation else None
 
     if args.mode == "shortcut":
-        if not args.relation:
-            raise _InputError("mode shortcut needs --relation (transformed coordinates)")
-        _refuse(equivalence.delta_problems(cfg, sys_a.species_order, sys_b.species_order))
-        pairs = _load_relation(args.relation)
         result = classification.shortcut_check(
             sys_a, sys_b, cfg, pairs, max_states=args.max_states
         )
@@ -165,7 +158,6 @@ def cmd_check(args) -> int:
 
     lts_a = semantics.build_lts(sys_a, max_states=args.max_states)
     lts_b = semantics.build_lts(sys_b, max_states=args.max_states)
-    _refuse(equivalence.config_problems(cfg, lts_a, lts_b))
     check = (
         equivalence.check_fast_slow_relation
         if args.mode == "fast-slow"
@@ -177,8 +169,8 @@ def cmd_check(args) -> int:
         else equivalence.largest_slow
     )
 
-    if args.relation:
-        rel = equivalence.resolve_relation(_load_relation(args.relation), lts_a, lts_b)
+    if pairs is not None:
+        rel = equivalence.resolve_relation(pairs, lts_a, lts_b)
         outcome = check(rel, lts_a, lts_b, cfg)
         if outcome.equivalent and (lts_a.initial, lts_b.initial) not in rel:
             report = _report(
@@ -216,11 +208,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    sys_def = _load_model(args.model)
-    cfg = _load_config(args.config)
-    for action in sorted(sys_def.actions()):
-        if action not in cfg.fast and action not in cfg.slow:
-            raise _InputError(f"unpartitioned-action({action})")
+    sys_def = _load(args.model, parser.parse_model)
+    cfg = _load(args.config, parser.parse_config)
+    # delta may name species of a model this one is compared with
+    _refuse(equivalence.partition_problems(cfg, sys_def))
     cls = classification.classify(sys_def, cfg)
     report_doc = classification.classification_report(sys_def, cfg, cls)
     report = _report(args, classification=report_doc)
@@ -242,13 +233,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_congruence(args) -> int:
-    p1 = _load_model(args.model_p1)
-    p2 = _load_model(args.model_p2)
-    q = _load_model(args.model_q)
-    cfg = _load_config(args.config)
+    p1 = _load(args.model_p1, parser.parse_model)
+    p2 = _load(args.model_p2, parser.parse_model)
+    q = _load(args.model_q, parser.parse_model)
+    cfg = _load(args.config, parser.parse_config)
     # the verdict that counts compares the compositions with the context
-    composed = (p1.species_order + q.species_order, p2.species_order + q.species_order)
-    _refuse(equivalence.delta_problems(cfg, *composed))
+    _refuse(equivalence.config_problems(cfg, compose(p1, q), compose(p2, q)))
     probe = equivalence.congruence_probe(p1, p2, q, cfg, max_states=args.max_states)
     report = _report(
         args,
@@ -274,7 +264,7 @@ def cmd_congruence(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    sys_def = _load_model(args.model)
+    sys_def = _load(args.model, parser.parse_model)
     try:
         base = sys_def.species_def(args.base)
         extension = sys_def.species_def(args.extension)
@@ -372,8 +362,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return top
 
 
+_arg_parser = functools.cache(build_arg_parser)  # built once per process
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     args._started = time.monotonic()
     paths = [
         getattr(args, name)
@@ -381,28 +374,21 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, name, None)
     ]
     args._input_paths = paths
-    if not hasattr(args, "json"):
-        args.json = False
-    if not hasattr(args, "deterministic"):
-        args.deterministic = False
     try:
         return args.func(args)
-    except _InputError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
-    except ModelError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
     except StateSpaceLimitError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_STATE_CAP
-    except classification.ShortcutPreconditionError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PRECONDITION
-    except classification.ShortcutLiftError as exc:
+    # both shortcut errors are ClassificationErrors: this arm goes first
+    except (
+        classification.ShortcutPreconditionError,
+        classification.ShortcutLiftError,
+    ) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PRECONDITION
     except (
+        _InputError,
+        ModelError,
         equivalence.EquivalenceError,
         semantics.UnpartitionedActionError,
         classification.ClassificationError,

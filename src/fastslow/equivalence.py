@@ -340,33 +340,47 @@ def congruence_probe(
     Reports the shared fast actions with the context (the congruence side
     condition), the verdict for the components and the verdict for the
     compositions; used to confirm congruence instances and the failure
-    mode when the side condition is violated.  Every transition system
-    is built under the ``max_states`` cap.
+    mode when the side condition is violated.  Both compositions are
+    formed, and so validated, before any transition system is built;
+    every one is built under the ``max_states`` cap.
     """
     shared1 = shared_fast_actions(p1, q, cfg)
     shared2 = shared_fast_actions(p2, q, cfg)
+    composed_a, composed_b = compose(p1, q), compose(p2, q)
     _, component = largest_fast_slow(
         build_lts(p1, max_states=max_states), build_lts(p2, max_states=max_states), cfg
     )
-    composed_a = build_lts(compose(p1, q), max_states=max_states)
-    composed_b = build_lts(compose(p2, q), max_states=max_states)
-    _, composed = largest_fast_slow(composed_a, composed_b, cfg)
+    _, composed = largest_fast_slow(
+        build_lts(composed_a, max_states=max_states),
+        build_lts(composed_b, max_states=max_states),
+        cfg,
+    )
     return CongruenceReport(shared1, shared2, component, composed)
 
 
-def config_problems(cfg: EquivConfig, a: Lts, b: Lts) -> list[str]:
-    """Pre-flight checks that need the transition systems at hand."""
-    problems = []
-    for action in sorted(a.actions() | b.actions()):
-        if action not in cfg.fast and action not in cfg.slow:
-            problems.append(f"unpartitioned-action({action})")
-    return problems + delta_problems(cfg, a.species_order, b.species_order)
+def partition_problems(cfg: EquivConfig, *systems: SystemDef) -> list[str]:
+    """Reactions the models declare that neither ``fast`` nor ``slow`` names.
+
+    The partition must cover every declared reaction, whether or not it
+    can fire from the initial state.
+    """
+    declared = frozenset().union(*(s.actions() for s in systems))
+    return [
+        f"unpartitioned-action({a})" for a in sorted(declared - cfg.fast - cfg.slow)
+    ]
 
 
-def delta_problems(cfg: EquivConfig, a: Iterable[str], b: Iterable[str]) -> list[str]:
-    """Comparison species named by neither side's species, b's through the aliases."""
-    known = set(a) | {cfg.canon(s) for s in b}
-    return [f"unknown-species-in-delta({n})" for n in sorted(cfg.delta) if n not in known]
+def config_problems(cfg: EquivConfig, a: SystemDef, b: SystemDef) -> list[str]:
+    """Everything wrong with ``cfg`` for comparing ``a`` with ``b``.
+
+    Reads only the models' declarations, so it runs before any
+    transition system is built: the partition must cover both models'
+    reactions, and every comparison species must be a species of ``a``
+    or, through the aliases, of ``b``.
+    """
+    known = set(a.species_order) | {cfg.canon(s) for s in b.species_order}
+    unknown = [f"unknown-species-in-delta({n})" for n in sorted(cfg.delta) if n not in known]
+    return partition_problems(cfg, a, b) + unknown
 
 
 def read_pair(item) -> tuple[tuple[int, ...], tuple[int, ...]]:

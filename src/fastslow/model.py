@@ -154,9 +154,6 @@ class SystemDef:
             out |= s.actions()
         return frozenset(out)
 
-    def max_level_of(self, name: str) -> int:
-        return max_level(self.species_def(name), self.step_size)
-
     def initial_levels(self) -> dict[str, int]:
         return {leaf.species: leaf.level for leaf in tree_leaves(self.tree)}
 
@@ -190,15 +187,6 @@ def validate_species(sdef: SpeciesDef) -> list[str]:
     if sdef.max_count < 1:
         problems.append(f"invalid-max-count({sdef.name}): {sdef.max_count} < 1")
     return problems
-
-
-def _tree_actions(tree: CompositionTree, defs: dict[str, SpeciesDef]) -> frozenset[str]:
-    out: set[str] = set()
-    for leaf in tree_leaves(tree):
-        d = defs.get(leaf.species)
-        if d is not None:
-            out |= d.actions()
-    return frozenset(out)
 
 
 def validate_system(sys: SystemDef) -> list[str]:
@@ -239,18 +227,34 @@ def validate_system(sys: SystemDef) -> list[str]:
         if name not in placed:
             problems.append(f"unused-species({name})")
 
-    stack = [sys.tree]  # pre-order, left subtree first
+    # One post-order walk gives every subtree's action set, the smaller
+    # child merged into the larger.  Nodes are first met in pre-order,
+    # the order their problems are reported in.
+    dangling: list[list[str]] = []  # per node, in pre-order
+    done: list[set[str]] = []
+    stack: list[tuple[CompositionTree, int | None]] = [(sys.tree, None)]
     while stack:
-        node = stack.pop()
+        node, met = stack.pop()
         if isinstance(node, Leaf):
-            continue
-        if node.coop is not None:
-            left_actions = _tree_actions(node.left, defs)
-            right_actions = _tree_actions(node.right, defs)
-            for a in sorted(node.coop):
-                if a not in left_actions or a not in right_actions:
-                    problems.append(f"dangling-coop-action({a})")
-        stack += [node.right, node.left]
+            d = defs.get(node.species)
+            done.append(set(d.actions()) if d is not None else set())
+        elif met is None:
+            stack += [(node, len(dangling)), (node.right, None), (node.left, None)]
+            dangling.append([])
+        else:
+            right = done.pop()
+            left = done.pop()
+            if node.coop is not None:
+                dangling[met] = [
+                    f"dangling-coop-action({a})"
+                    for a in sorted(node.coop)
+                    if a not in left or a not in right
+                ]
+            big, small = (left, right) if len(left) >= len(right) else (right, left)
+            big |= small
+            done.append(big)
+    for found in dangling:
+        problems.extend(found)
     return problems
 
 
@@ -330,17 +334,3 @@ class EquivConfig:
 
     def canon(self, species: str) -> str:
         return self.aliases.get(species, species)
-
-    def swapped(self) -> "EquivConfig":
-        """The same configuration seen from the other side.
-
-        Aliases are inverted (they must be injective) and the comparison
-        species renamed through the inverted map.
-        """
-        inv: dict[str, str] = {}
-        for src, dst in self.aliases.items():
-            if dst in inv:
-                raise ValueError(f"alias map not invertible at {dst}")
-            inv[dst] = src
-        delta = frozenset(inv.get(d, d) for d in self.delta)
-        return EquivConfig(self.fast, self.slow, delta, inv)

@@ -132,16 +132,17 @@ def dot(a: Sequence[int | Fraction], b: Sequence[int | Fraction]):
     return sum(x * y for x, y in zip(a, b))
 
 
-def minimal_semiflows(
-    matrix: Sequence[Sequence[int]], *, max_rows: int = 4000
-) -> list[tuple[int, ...]] | None:
+SEMIFLOW_MAX_ROWS = 4000
+
+
+def minimal_semiflows(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]] | None:
     """All minimal-support non-negative integer vectors y with y^T A = 0.
 
     Classic invariant enumeration: carry an identity alongside A and
     cancel one column at a time by combining rows of opposite sign,
     pruning rows whose support strictly contains another's.  Returns
-    ``None`` if the intermediate table exceeds ``max_rows`` (the caller
-    falls back to a signed basis).
+    ``None`` if the intermediate table exceeds ``SEMIFLOW_MAX_ROWS``
+    (the caller falls back to a signed basis).
     """
     nrows = len(matrix)
     if nrows == 0:
@@ -167,7 +168,7 @@ def minimal_semiflows(
         keep = [(r, y) for r, y in table if r[col] == 0]
         plus = [(r, y) for r, y in table if r[col] > 0]
         minus = [(r, y) for r, y in table if r[col] < 0]
-        if len(keep) + len(plus) * len(minus) > max_rows:
+        if len(keep) + len(plus) * len(minus) > SEMIFLOW_MAX_ROWS:
             return None
         for rp, yp in plus:
             for rm, ym in minus:

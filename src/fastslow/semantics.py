@@ -276,10 +276,6 @@ class _Compiled:
         return out
 
 
-def initial_state(sys: SystemDef) -> State:
-    return _Compiled(sys).initial
-
-
 def step(sys: SystemDef, state: State) -> list[tuple[CapabilityLabel, State]]:
     """All capability transitions from one state, deterministically ordered."""
     moves = _Compiled(sys).moves(tuple(state))

@@ -13,6 +13,7 @@ from fastslow import (
     LabelEntry,
     Leaf,
     Lts,
+    Node,
     Role,
     StoichMatrix,
     SystemDef,
@@ -79,6 +80,49 @@ def step_tree_oracle(
                 target[i] += p.role.level_delta(p.stoich)
             result.append((CapabilityLabel(action, tuple(sorted(entries))), tuple(target)))
     return result
+
+
+def dangling_coop_oracle(sys: SystemDef) -> list[str]:
+    """The ``dangling-coop-action`` problems of ``sys``, in pre-order:
+    at every node with a cooperation set, the actions of both subtrees
+    are collected again by walking all of their leaves."""
+    defs = sys.species_map()
+
+    def actions(tree) -> set[str]:
+        stack, out = [tree], set()
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Node):
+                stack += [node.left, node.right]
+            elif node.species in defs:
+                out |= defs[node.species].actions()
+        return out
+
+    problems = []
+    stack = [sys.tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            continue
+        if node.coop is not None:
+            left, right = actions(node.left), actions(node.right)
+            for a in sorted(node.coop):
+                if a not in left or a not in right:
+                    problems.append(f"dangling-coop-action({a})")
+        stack += [node.right, node.left]
+    return problems
+
+
+def swapped(cfg: EquivConfig) -> EquivConfig:
+    """The same configuration seen from the other side: aliases inverted
+    (they must be injective), comparison species renamed through them."""
+    inv: dict[str, str] = {}
+    for src, dst in cfg.aliases.items():
+        if dst in inv:
+            raise ValueError(f"alias map not invertible at {dst}")
+        inv[dst] = src
+    delta = frozenset(inv.get(d, d) for d in cfg.delta)
+    return EquivConfig(cfg.fast, cfg.slow, delta, inv)
 
 
 def warshall_closure(n: int, edges: set[tuple[int, int]]) -> list[set[int]]:

@@ -21,6 +21,7 @@ from fastslow import (
     max_level,
     validate_system,
 )
+from fastslow.model import tree_leaves
 from fastslow.semantics import Lts
 
 ROLES = [
@@ -49,9 +50,8 @@ def _random_tree(rng: random.Random, leaves, defs, sync_all: bool) -> Leaf | Nod
     coop = None
     if not sync_all and rng.random() < 0.3:
         def actions_of(tree):
-            if isinstance(tree, Leaf):
-                return defs[tree.species].actions()
-            return actions_of(tree.left) | actions_of(tree.right)
+            leaves = tree_leaves(tree)
+            return set().union(*(defs[leaf.species].actions() for leaf in leaves))
 
         shared = sorted(actions_of(left) & actions_of(right))
         coop = frozenset(

@@ -231,7 +231,7 @@ class TestCompleteFast:
         for sys in (inhibition_full(3, 2, 2), inhibition_reduced(3, 2, 2)):
             cls = classify(sys, CFG)
             n = len(cls.species)
-            assert cls.n_c + cls.n_s + cls.n_f == n
+            assert len(cls.conserved) + cls.n_s + cls.n_f == n
             stack = [list(v) for v in cls.conserved + cls.slow + cls.fast]
             assert rational.rank(stack) == n
             m = stoich_matrix(sys)

@@ -420,6 +420,21 @@ class TestClassifyCommand:
         assert "slow: P'" in out
         assert "fast: (none)" in out
 
+    def test_delta_may_name_the_other_models_species(self, fixtures, capsys, tmp_path):
+        # S' is a species of the reduced model only: a check of the two
+        # models accepts this configuration (S' has no counterpart, so
+        # the verdict is "not equivalent"), and classify must accept it too
+        cfg = inhibition_config(fixtures, tmp_path, "delta: P\n", "delta: P, S'\n")
+        full = fixtures / "inhibition_full.bp"
+        reduced = fixtures / "inhibition_reduced.bp"
+        code, out, _ = run(capsys, "check", full, reduced, "--config", cfg)
+        assert code == 1
+        assert "verdict: not-equivalent" in out
+        code, out, _ = run(capsys, "classify", full, "--config", cfg)
+        assert code == 0
+        plain = run(capsys, "classify", full, "--config", fixtures / "inhibition.cfg")
+        assert out == plain[1]
+
     def test_all_fast_exits_5(self, capsys, tmp_path):
         model = tmp_path / "flip.bp"
         model.write_text(
@@ -507,6 +522,111 @@ class TestCongruenceCommand:
         )
         assert code == 3
         assert "state-space-limit-exceeded(2)" in err
+
+
+def inhibition_config(fixtures, tmp_path, old: str, new: str) -> Path:
+    """The inhibition configuration with ``old`` replaced by ``new``."""
+    cfg = tmp_path / "edited.cfg"
+    text = (fixtures / "inhibition.cfg").read_text()
+    assert old in text
+    cfg.write_text(text.replace(old, new))
+    return cfg
+
+
+WITHOUT_A1 = ("fast: a1, am1", "fast: am1")  # a1 needs EI, which needs I, at 0
+
+
+class TestInputsCheckedBeforeBuilding:
+    """Every input is read and checked before any transition system is
+    built, so a state cap of one changes neither the exit code nor the
+    message of an input error."""
+
+    @staticmethod
+    def refused(capsys, *argv) -> str:
+        uncapped = run(capsys, *argv)
+        capped = run(capsys, *argv, "--max-states", "1")
+        assert capped == uncapped
+        code, out, err = capped
+        assert code == 2
+        assert out == ""
+        return err
+
+    @staticmethod
+    def check(fixtures, tmp_path, cfg, mode, relation=None):
+        """``check`` of the inhibition fixtures; shortcut mode gets the
+        transformed relation unless another one is given."""
+        if relation is None and mode == "shortcut":
+            relation = tmp_path / "transformed.json"
+            pairs = inhibition_relation_transformed(5, 3, 0)
+            relation.write_text(json.dumps([[list(a), list(b)] for a, b in pairs]))
+        argv = [
+            "check",
+            fixtures / "inhibition_full.bp",
+            fixtures / "inhibition_reduced.bp",
+            "--config",
+            cfg,
+            "--mode",
+            mode,
+        ]
+        return argv + (["--relation", relation] if relation else [])
+
+    @staticmethod
+    def congruence(cfg, *models):
+        return ["congruence", *models, "--config", cfg]
+
+    @pytest.mark.parametrize("mode", ["fast-slow", "slow", "shortcut"])
+    def test_unknown_delta_species(self, fixtures, capsys, tmp_path, mode):
+        cfg = inhibition_config(fixtures, tmp_path, "delta: P\n", "delta: P, Q\n")
+        err = self.refused(capsys, *self.check(fixtures, tmp_path, cfg, mode))
+        assert err == "unknown-species-in-delta(Q)\n"
+
+    @pytest.mark.parametrize("mode", ["fast-slow", "slow", "shortcut"])
+    def test_malformed_relation(self, fixtures, capsys, tmp_path, mode):
+        rel = tmp_path / "rel.json"
+        rel.write_text("[[[5.9,3,0,0,0,0],[5,3,0,0]]]")
+        cfg = fixtures / "inhibition.cfg"
+        err = self.refused(capsys, *self.check(fixtures, tmp_path, cfg, mode, rel))
+        vector = "[5.9, 3, 0, 0, 0, 0]"
+        assert err == f"{rel}: first-model vector {vector} is not an integer array\n"
+
+    def test_congruence_unpartitioned_action(self, fixtures, capsys, tmp_path):
+        cfg = tmp_path / "ab.cfg"
+        cfg.write_text("fast: a\nslow: g\n")
+        models = (fixtures / m for m in ("burst_a.bp", "burst_b.bp", "drain_ctx.bp"))
+        err = self.refused(capsys, *self.congruence(cfg, *models))
+        assert err == "unpartitioned-action(b)\n"
+
+    def test_congruence_composition_clash(self, fixtures, capsys):
+        cfg = fixtures / "burst.cfg"
+        models = (fixtures / m for m in ("burst_a.bp", "burst_b.bp", "burst_a.bp"))
+        err = self.refused(capsys, *self.congruence(cfg, *models))
+        assert err == "repeated-species(S1); repeated-species(S1)\n"
+
+    @pytest.mark.parametrize("mode", ["fast-slow", "slow", "shortcut"])
+    def test_check_declared_reaction_that_never_fires(
+        self, fixtures, capsys, tmp_path, mode
+    ):
+        cfg = inhibition_config(fixtures, tmp_path, *WITHOUT_A1)
+        err = self.refused(capsys, *self.check(fixtures, tmp_path, cfg, mode))
+        assert err == "unpartitioned-action(a1)\n"
+
+    def test_congruence_declared_reaction_that_never_fires(
+        self, fixtures, capsys, tmp_path
+    ):
+        cfg = inhibition_config(fixtures, tmp_path, *WITHOUT_A1)
+        context = tmp_path / "ctx.bp"
+        context.write_text("max Z = 1;\nspecies Z = (g,1) (.) Z;\nsystem = Z[1];\n")
+        full, reduced = fixtures / "inhibition_full.bp", fixtures / "inhibition_reduced.bp"
+        err = self.refused(capsys, *self.congruence(cfg, full, reduced, context))
+        assert err == "unpartitioned-action(a1)\n"
+
+    def test_classify_declared_reaction_that_never_fires(
+        self, fixtures, capsys, tmp_path
+    ):
+        cfg = inhibition_config(fixtures, tmp_path, *WITHOUT_A1)
+        full = fixtures / "inhibition_full.bp"
+        result = run(capsys, "classify", full, "--config", cfg)
+        assert result == (2, "", "unpartitioned-action(a1)\n")
 
 
 class TestExtendCommand:

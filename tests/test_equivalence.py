@@ -6,6 +6,7 @@ import pytest
 
 from fastslow import (
     EquivConfig,
+    InvalidModelError,
     Leaf,
     PairRelation,
     Prefix,
@@ -29,7 +30,13 @@ from fastslow.equivalence import (
     config_problems,
 )
 from fastslow.semantics import filter_label
-from oracles import fast_edges, largest_sweep_oracle, warshall_closure, weak_slow_oracle
+from oracles import (
+    fast_edges,
+    largest_sweep_oracle,
+    swapped,
+    warshall_closure,
+    weak_slow_oracle,
+)
 from randgen import random_case
 from systems import (
     burst_systems,
@@ -139,7 +146,7 @@ class TestLargestFastSlow:
         for case in range(30):
             sys_a, lts_a, sys_b, lts_b, cfg = random_case(case, seed="swap")
             _, left = largest_fast_slow(lts_a, lts_b, cfg)
-            _, right = largest_fast_slow(lts_b, lts_a, cfg.swapped())
+            _, right = largest_fast_slow(lts_b, lts_a, swapped(cfg))
             assert left.verdict == right.verdict
 
     def test_self_equivalence_under_identity(self):
@@ -191,7 +198,7 @@ class TestLargestAgainstSweepOracle:
 
     @staticmethod
     def agree(a, b, cfg):
-        for x, y, c in ((a, b, cfg), (b, a, cfg.swapped())):
+        for x, y, c in ((a, b, cfg), (b, a, swapped(cfg))):
             for include_fast, largest in MODES:
                 rel, outcome = largest(x, y, c)
                 expected = largest_sweep_oracle(x, y, c, include_fast)
@@ -332,6 +339,12 @@ class TestCongruenceProbe:
         assert probe.component.equivalent
         assert probe.composed.equivalent
 
+    def test_composition_clash_found_before_any_build(self):
+        # the context repeats the first component's species
+        s1, s2, _, cfg = burst_systems()
+        with pytest.raises(InvalidModelError, match=r"repeated-species\(S1\)"):
+            congruence_probe(s1, s2, s1, cfg, max_states=1)
+
     def test_burst_counterexample(self):
         s1, s2, ctx, cfg = burst_systems()
         probe = congruence_probe(s1, s2, ctx, cfg)
@@ -377,13 +390,17 @@ class TestRelationIO:
             resolve_relation([[(9, 9, 9, 9, 9, 9), (2, 1, 0, 0)]], a, b)
 
     def test_config_problems(self):
-        a, b = inhibition_lts_pair(2, 1, 0)
+        a, b = inhibition_full(2, 1, 0), inhibition_reduced(2, 1, 0)
         assert config_problems(CFG, a, b) == []
         bad = EquivConfig(
-            fast=frozenset({"a1", "am1", "b1"}),
+            fast=frozenset({"am1", "b1"}),
             slow=frozenset({"g"}),
             delta=frozenset({"Q"}),
         )
-        problems = config_problems(bad, a, b)
-        assert "unpartitioned-action(bm1)" in problems
-        assert "unknown-species-in-delta(Q)" in problems
+        # a1 is declared but never fires: I and EI start at level 0
+        assert "a1" in a.actions() and "a1" not in build_lts(a).actions()
+        assert config_problems(bad, a, b) == [
+            "unpartitioned-action(a1)",
+            "unpartitioned-action(bm1)",
+            "unknown-species-in-delta(Q)",
+        ]

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +24,12 @@ from fastslow import (
     validate_species,
     validate_system,
 )
+from fastslow import parse_model
+from oracles import dangling_coop_oracle, swapped
+from randgen import random_system
 from systems import burst_systems, inhibition_full, inhibition_reduced
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def species(name, *prefixes, max_count=3):
@@ -101,6 +109,68 @@ class TestValidateSystem:
         assert any(p.startswith("unused-species(B)") for p in report)
         sys2 = SystemDef((a,), Leaf("Z", 0))
         assert any(p.startswith("unknown-species(Z)") for p in validate_system(sys2))
+
+
+def with_extra_coop(sys: SystemDef, rng: random.Random) -> SystemDef:
+    """``sys`` with an action added to every cooperation set: one of its
+    own, which may be missing on a side, or one no species offers."""
+    pool = sorted(sys.actions()) + ["zz"]
+
+    def walk(tree):
+        if isinstance(tree, Leaf):
+            return tree
+        coop = (tree.coop or frozenset()) | {rng.choice(pool)}
+        return Node(walk(tree.left), coop, walk(tree.right))
+
+    return dataclasses.replace(sys, tree=walk(sys.tree))
+
+
+def deep_chain(n: int) -> SystemDef:
+    """Right-nested chain X0 <s0> (X1 <s1> (... X{n-1})) where X{i} offers
+    s{i} and s{i-1}; every seventh set also names ``zz``, which no species
+    offers."""
+    defs = []
+    for i in range(n):
+        actions = [f"s{i}", f"s{i - 1}"] if i else ["s0"]
+        defs.append(species(f"X{i}", *(Prefix(a, 1, Role.GENERIC) for a in actions)))
+    tree = Leaf(f"X{n - 1}", 0)
+    for i in range(n - 2, -1, -1):
+        coop = {f"s{i}", "zz"} if i % 7 == 0 else {f"s{i}"}
+        tree = Node(Leaf(f"X{i}", 0), frozenset(coop), tree)
+    return SystemDef(tuple(defs), tree)
+
+
+class TestValidateSystemAgainstOracle:
+    """The one-pass cooperation check against re-walking both subtrees at
+    every node: the same problems, in the same order."""
+
+    @staticmethod
+    def agree(sys: SystemDef) -> list[str]:
+        problems = validate_system(sys)
+        dangling = dangling_coop_oracle(sys)
+        others = [p for p in problems if not p.startswith("dangling-coop-action(")]
+        assert problems == others + dangling
+        return dangling
+
+    def test_random_systems(self):
+        some = several = 0
+        for case in range(400):
+            rng = random.Random(f"validate:{case}")
+            sys = random_system(rng, sync_all=False)
+            assert self.agree(sys) == []
+            dangling = self.agree(with_extra_coop(sys, rng))
+            some += bool(dangling)
+            several += len(dangling) > 1
+        assert some > 200 and several > 40
+
+    def test_every_fixture(self):
+        for path in sorted(FIXTURES.glob("*.bp")):
+            if path.name != "broken.bp":
+                self.agree(parse_model(path.read_text()))
+
+    def test_deep_chain(self):
+        dangling = self.agree(deep_chain(300))
+        assert dangling == ["dangling-coop-action(zz)"] * 43
 
 
 class TestMaxLevel:
@@ -188,7 +258,7 @@ class TestEquivConfig:
             delta=frozenset({"P"}),
             aliases={"P'": "P"},
         )
-        swapped = cfg.swapped()
-        assert swapped.aliases == {"P": "P'"}
-        assert swapped.delta == frozenset({"P'"})
-        assert swapped.swapped() == cfg
+        other = swapped(cfg)
+        assert other.aliases == {"P": "P'"}
+        assert other.delta == frozenset({"P'"})
+        assert swapped(other) == cfg

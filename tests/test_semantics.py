@@ -22,10 +22,10 @@ from fastslow import (
     compose,
     extend_species,
     filter_label,
-    initial_state,
     largest_fast_slow,
     lts_to_dict,
     lts_to_dot,
+    max_level,
     parse_config,
     parse_model,
     step,
@@ -93,10 +93,10 @@ class TestStep:
     def test_activator_blocks_at_zero_inhibitor_does_not(self):
         sys = inhibition_reduced(5, 0, 0)
         # enzyme at level zero: activator side condition fails, no moves
-        assert step(sys, initial_state(sys)) == []
+        assert step(sys, (5, 0, 0, 0)) == []
         sys2 = inhibition_reduced(5, 3, 0)
         # inhibitor at level zero does not block (see gamma move above)
-        assert len(step(sys2, initial_state(sys2))) == 1
+        assert len(step(sys2, (5, 3, 0, 0))) == 1
 
 
 class TestBuildLts:
@@ -165,7 +165,9 @@ class TestBuildLts:
     def test_levels_stay_in_bounds(self):
         sys = inhibition_full(3, 2, 2)
         lts = build_lts(sys)
-        limits = [sys.max_level_of(name) for name in lts.species_order]
+        limits = [
+            max_level(sys.species_def(name), sys.step_size) for name in lts.species_order
+        ]
         for state in lts.states:
             assert all(0 <= lvl <= cap for lvl, cap in zip(state, limits))
 
