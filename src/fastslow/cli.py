@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 from . import classification, equivalence, parser, semantics
-from .model import ModelError, compose, extend_species
+from .model import ModelError, extend_species
 from .semantics import StateSpaceLimitError
 
 EXIT_OK = 0
@@ -46,6 +46,13 @@ def _read(path: str) -> str:
         raise _InputError(
             f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
         ) from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _InputError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _load(path: str, parse):
@@ -114,7 +121,7 @@ def cmd_lts(args) -> int:
         document = json.dumps(semantics.lts_to_dict(lts), indent=2) + "\n"
     counts = f"{lts.n_states} states, {lts.n_transitions} transitions"
     if args.out:
-        Path(args.out).write_text(document)
+        _write(args.out, document)
         print(counts)
     else:
         sys.stdout.write(document)
@@ -189,7 +196,7 @@ def cmd_check(args) -> int:
         rel, outcome = largest(lts_a, lts_b, cfg)
         if args.emit_relation:
             obj = equivalence.relation_to_obj(rel, lts_a, lts_b)
-            Path(args.emit_relation).write_text(json.dumps(obj, indent=2) + "\n")
+            _write(args.emit_relation, json.dumps(obj, indent=2) + "\n")
 
     report = _report(
         args,
@@ -237,8 +244,6 @@ def cmd_congruence(args) -> int:
     p2 = _load(args.model_p2, parser.parse_model)
     q = _load(args.model_q, parser.parse_model)
     cfg = _load(args.config, parser.parse_config)
-    # the verdict that counts compares the compositions with the context
-    _refuse(equivalence.config_problems(cfg, compose(p1, q), compose(p2, q)))
     probe = equivalence.congruence_probe(p1, p2, q, cfg, max_states=args.max_states)
     report = _report(
         args,

@@ -341,12 +341,18 @@ def congruence_probe(
     condition), the verdict for the components and the verdict for the
     compositions; used to confirm congruence instances and the failure
     mode when the side condition is violated.  Both compositions are
-    formed, and so validated, before any transition system is built;
-    every one is built under the ``max_states`` cap.
+    formed, and so validated, and ``cfg`` is checked against them
+    (``config_problems``, raised as one ``EquivalenceError``) before any
+    transition system is built; every one is built under the
+    ``max_states`` cap.
     """
     shared1 = shared_fast_actions(p1, q, cfg)
     shared2 = shared_fast_actions(p2, q, cfg)
     composed_a, composed_b = compose(p1, q), compose(p2, q)
+    # the verdict that counts compares the compositions with the context
+    problems = config_problems(cfg, composed_a, composed_b)
+    if problems:
+        raise EquivalenceError("\n".join(problems))
     _, component = largest_fast_slow(
         build_lts(p1, max_states=max_states), build_lts(p2, max_states=max_states), cfg
     )

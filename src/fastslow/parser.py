@@ -23,6 +23,7 @@ repeatable).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,71 +85,60 @@ def _lex(text: str) -> list[Token]:
     diagnostics: list[Diagnostic] = []
     pos = 0
     line = 1
-    col = 1
-
-    def span(start: int, end: int, sline: int, scol: int) -> SourceSpan:
-        return SourceSpan(sline, scol, start, end)
-
+    line_start = 0
     n = len(text)
+
+    def span(start: int, end: int) -> SourceSpan:
+        # no token spans a newline, so its column follows from its start
+        return SourceSpan(line, start - line_start + 1, start, end)
+
     while pos < n:
         ch = text[pos]
         if ch == "\n":
             pos += 1
             line += 1
-            col = 1
+            line_start = pos
             continue
         if ch in " \t\r":
             pos += 1
-            col += 1
             continue
         if text.startswith("//", pos):
-            while pos < n and text[pos] != "\n":
-                pos += 1
-                col += 1
+            pos = text.find("\n", pos)
+            if pos < 0:
+                pos = n
             continue
-        start, sline, scol = pos, line, col
+        start = pos
         if ch.isalpha():
             while pos < n and (text[pos].isalnum() or text[pos] in "_'"):
                 pos += 1
-                col += 1
-            tokens.append(Token("ident", text[start:pos], span(start, pos, sline, scol)))
+            tokens.append(Token("ident", text[start:pos], span(start, pos)))
             continue
         if "0" <= ch <= "9":
             while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
-                col += 1
-            tokens.append(Token("int", text[start:pos], span(start, pos, sline, scol)))
+            tokens.append(Token("int", text[start:pos], span(start, pos)))
             continue
         if ch == '"':
             pos += 1
-            col += 1
             while pos < n and text[pos] not in '"\n':
                 pos += 1
-                col += 1
             if pos >= n or text[pos] != '"':
-                diagnostics.append(
-                    Diagnostic(span(start, pos, sline, scol), "unterminated string")
-                )
+                diagnostics.append(Diagnostic(span(start, pos), "unterminated string"))
                 break
             pos += 1
-            col += 1
-            tokens.append(
-                Token("string", text[start + 1 : pos - 1], span(start, pos, sline, scol))
-            )
+            tokens.append(Token("string", text[start + 1 : pos - 1], span(start, pos)))
             continue
         for sym in _SYMBOLS:
             if text.startswith(sym, pos):
                 pos += len(sym)
-                col += len(sym)
-                tokens.append(Token("symbol", sym, span(start, pos, sline, scol)))
+                tokens.append(Token("symbol", sym, span(start, pos)))
                 break
         else:
             diagnostics.append(
-                Diagnostic(span(start, pos + 1, sline, scol), f"unexpected character {ch!r}")
+                Diagnostic(span(start, pos + 1), f"unexpected character {ch!r}")
             )
             pos += 1
-            col += 1
-    tokens.append(Token("eof", "", SourceSpan(line, col, n, n)))
+    tokens.append(Token("eof", "", span(n, n)))
     if diagnostics:
         raise ParseError(diagnostics)
     return tokens
@@ -159,14 +149,13 @@ _ROLE_BY_SPELLING = {role.value: role for role in Role}
 
 class _ModelParser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _lex(text)
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         self.step: int | None = None
-        self.step_span: SourceSpan | None = None
         self.maxes: dict[str, tuple[int, SourceSpan]] = {}
-        self.species: list[tuple[str, tuple[Prefix, ...], SourceSpan]] = []
+        # declaration order, which is also the order of the spans' starts
+        self.species: dict[str, tuple[tuple[Prefix, ...], SourceSpan]] = {}
         self.tree: Leaf | Node | None = None
         self.tree_span: SourceSpan | None = None
         self.params: dict[str, str] = {}
@@ -194,34 +183,37 @@ class _ModelParser:
         self.error(self.peek().span, message)
         return _Recover()
 
-    def expect_symbol(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "symbol" and tok.text == text:
-            return self.advance()
-        raise self.fail(f"expected {text!r}, found {tok.text!r}" if tok.text else f"expected {text!r}, found end of input")
+    def expected(self, what: str) -> "_Recover":
+        found = self.peek().text
+        found = repr(found) if found else "end of input"
+        return self.fail(f"expected {what}, found {found}")
 
-    def expect_ident(self, what: str = "name") -> Token:
+    def expect_symbol(self, text: str) -> Token:
+        if self.at_symbol(text):
+            return self.advance()
+        raise self.expected(repr(text))
+
+    def expect_ident(self, what: str) -> Token:
         tok = self.peek()
         if tok.kind == "ident" and tok.text not in KEYWORDS:
             return self.advance()
-        raise self.fail(f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}, found end of input")
+        raise self.expected(what)
 
-    def expect_int(self, what: str = "integer") -> tuple[int, SourceSpan]:
+    def expect_int(self, what: str) -> tuple[int, SourceSpan]:
         tok = self.peek()
-        if tok.kind == "int":
-            try:
-                value = int(tok.text)
-            except ValueError:  # beyond the interpreter's limit on digits
-                raise self.fail(f"{what} has too many digits ({len(tok.text)})") from None
-            self.advance()
-            return value, tok.span
-        raise self.fail(f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}, found end of input")
+        if tok.kind != "int":
+            raise self.expected(what)
+        try:
+            value = int(tok.text)
+        except ValueError:  # beyond the interpreter's limit on digits
+            raise self.fail(f"{what} has too many digits ({len(tok.text)})") from None
+        self.advance()
+        return value, tok.span
 
     def expect_string(self) -> Token:
-        tok = self.peek()
-        if tok.kind == "string":
+        if self.peek().kind == "string":
             return self.advance()
-        raise self.fail(f"expected quoted string, found {tok.text!r}" if tok.text else "expected quoted string, found end of input")
+        raise self.expected("quoted string")
 
     # declarations -------------------------------------------------------
 
@@ -255,10 +247,8 @@ class _ModelParser:
             self.species_decl()
         elif tok.text == "system":
             self.system_decl()
-        elif tok.text == "param":
-            self.param_decl()
         else:
-            self.rate_decl()
+            self.string_decl()
 
     def step_decl(self) -> None:
         kw = self.advance()
@@ -272,7 +262,6 @@ class _ModelParser:
             self.error(span, "step size must be at least 1")
             return
         self.step = value
-        self.step_span = kw.span
 
     def max_decl(self) -> None:
         self.advance()
@@ -297,10 +286,10 @@ class _ModelParser:
             self.advance()
             prefixes.append(self.summand(name.text))
         self.expect_symbol(";")
-        if any(name.text == existing for existing, _, _ in self.species):
+        if name.text in self.species:
             self.error(name.span, f"repeated-species({name.text})")
             return
-        self.species.append((name.text, tuple(prefixes), name.span))
+        self.species[name.text] = (tuple(prefixes), name.span)
 
     def summand(self, species: str) -> Prefix:
         self.expect_symbol("(")
@@ -379,43 +368,32 @@ class _ModelParser:
         self.expect_symbol("]")
         return Leaf(name.text, level)
 
-    def param_decl(self) -> None:
-        self.advance()
-        name = self.expect_ident("parameter name")
+    def string_decl(self) -> None:
+        """A ``param`` or ``rate`` declaration: a name bound to a quoted string."""
+        kw = self.advance().text
+        table = self.params if kw == "param" else self.rates
+        name = self.expect_ident("parameter name" if kw == "param" else "rate name")
         self.expect_symbol("=")
         value = self.expect_string()
         self.expect_symbol(";")
-        if name.text in self.params:
-            self.error(name.span, f"duplicate param declaration for {name.text}")
+        if name.text in table:
+            self.error(name.span, f"duplicate {kw} declaration for {name.text}")
             return
-        self.params[name.text] = value.text
-
-    def rate_decl(self) -> None:
-        self.advance()
-        name = self.expect_ident("rate name")
-        self.expect_symbol("=")
-        value = self.expect_string()
-        self.expect_symbol(";")
-        if name.text in self.rates:
-            self.error(name.span, f"duplicate rate declaration for {name.text}")
-            return
-        self.rates[name.text] = value.text
+        table[name.text] = value.text
 
     # assembly -----------------------------------------------------------
 
     def assemble(self) -> SystemDef:
         eof = self.tokens[-1].span
         defs: list[SpeciesDef] = []
-        declared: set[str] = set()
-        for name, prefixes, span in self.species:
-            declared.add(name)
+        for name, (prefixes, span) in self.species.items():
             entry = self.maxes.get(name)
             if entry is None:
                 self.error(span, f"missing max declaration for species {name}")
                 continue
             defs.append(SpeciesDef(name, prefixes, entry[0]))
         for name, (_, span) in self.maxes.items():
-            if name not in declared:
+            if name not in self.species:
                 self.error(span, f"max declared for unknown species {name}")
         if self.tree is None:
             self.error(eof, "missing system declaration")
@@ -429,14 +407,14 @@ class _ModelParser:
             params=self.params,
             rates=self.rates,
         )
-        span_by_species = {name: span for name, _, span in self.species}
         for problem in validate_system(sys):
-            span = self.tree_span or eof
-            for name, sp in span_by_species.items():
-                if f"({name})" in problem:
-                    span = sp
-                    break
-            self.error(span, problem)
+            # the first declared species the problem names, else the system line
+            named = [
+                self.species[n][1]
+                for n in _PARENTHESISED.findall(problem)
+                if n in self.species
+            ]
+            self.error(min(named, key=lambda sp: sp.start, default=self.tree_span), problem)
         if self.diagnostics:
             raise ParseError(self.diagnostics)
         return sys
@@ -447,6 +425,8 @@ class _Recover(Exception):
 
 
 _NO_COOP = object()
+
+_PARENTHESISED = re.compile(r"\(([^()]*)\)")
 
 
 def parse_model(text: str) -> SystemDef:
@@ -469,10 +449,6 @@ def parse_config(text: str) -> EquivConfig:
     aliases: dict[str, str] = {}
     diagnostics: list[Diagnostic] = []
 
-    def span_for(line_no: int, line: str) -> SourceSpan:
-        offset = sum(len(l) + 1 for l in text.split("\n")[: line_no - 1])
-        return SourceSpan(line_no, 1, offset, offset + len(line))
-
     def is_name(token: str) -> bool:
         return (
             token != ""
@@ -480,40 +456,37 @@ def parse_config(text: str) -> EquivConfig:
             and all(c.isalnum() or c in "_'" for c in token)
         )
 
+    offset = 0  # of the current line's first character
     for line_no, raw in enumerate(text.split("\n"), start=1):
+        start = offset
+        offset += len(raw) + 1
         line = raw.split("//", 1)[0].strip()
         if not line:
             continue
         key, sep, rest = line.partition(":")
         key = key.strip()
+        problem = None
         if not sep or key not in ("fast", "slow", "delta", "alias"):
-            diagnostics.append(
-                Diagnostic(span_for(line_no, raw), f"unrecognised configuration line: {line!r}")
-            )
-            continue
-        if key == "alias":
+            problem = f"unrecognised configuration line: {line!r}"
+        elif key == "alias":
             source, eq, target = rest.partition("=")
             source, target = source.strip(), target.strip()
             if not eq or not is_name(source) or not is_name(target):
-                diagnostics.append(
-                    Diagnostic(span_for(line_no, raw), "alias lines look like: alias: X' = X")
-                )
-                continue
-            if source in aliases and aliases[source] != target:
-                diagnostics.append(
-                    Diagnostic(span_for(line_no, raw), f"conflicting alias for {source}")
-                )
-                continue
-            aliases[source] = target
-            continue
-        names = [part.strip() for part in rest.split(",") if part.strip()]
-        bad = [n for n in names if not is_name(n)]
-        if bad:
-            diagnostics.append(
-                Diagnostic(span_for(line_no, raw), f"invalid name {bad[0]!r}")
-            )
-            continue
-        {"fast": fast, "slow": slow, "delta": delta}[key].update(names)
+                problem = "alias lines look like: alias: X' = X"
+            elif aliases.get(source, target) != target:
+                problem = f"conflicting alias for {source}"
+            else:
+                aliases[source] = target
+        else:
+            names = [part.strip() for part in rest.split(",") if part.strip()]
+            bad = [n for n in names if not is_name(n)]
+            if bad:
+                problem = f"invalid name {bad[0]!r}"
+            else:
+                {"fast": fast, "slow": slow, "delta": delta}[key].update(names)
+        if problem is not None:
+            span = SourceSpan(line_no, 1, start, start + len(raw))
+            diagnostics.append(Diagnostic(span, problem))
 
     for action in sorted(fast & slow):
         diagnostics.append(
@@ -534,17 +507,26 @@ def render_species(sdef: SpeciesDef) -> str:
 
 
 def _render_tree(tree: Leaf | Node) -> str:
-    if isinstance(tree, Leaf):
-        return f"{tree.species}[{tree.level}]"
-    left = _render_tree(tree.left)
-    right = _render_tree(tree.right)
-    if isinstance(tree.right, Node):
-        right = f"({right})"
-    if tree.coop is None:
-        op = "<*>"
-    else:
-        op = "<{}>".format(",".join(sorted(tree.coop)))
-    return f"{left} {op} {right}"
+    # Pending subtrees and literal text wait on a stack, popped in output
+    # order, so the depth of the tree is not bounded by the recursion limit.
+    parts: list[str] = []
+    stack: list[Leaf | Node | str] = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Leaf):
+            parts.append(f"{item.species}[{item.level}]")
+        else:
+            if item.coop is None:
+                op = "<*>"
+            else:
+                op = "<{}>".format(",".join(sorted(item.coop)))
+            if isinstance(item.right, Node):
+                stack += [")", item.right, f" {op} (", item.left]
+            else:
+                stack += [item.right, f" {op} ", item.left]
+    return "".join(parts)
 
 
 def render_model(sys: SystemDef) -> str:

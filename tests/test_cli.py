@@ -131,6 +131,13 @@ class TestLtsCommand:
         code, _, err = run(capsys, "lts", "no-such-file.bp")
         assert code == 2
 
+    def test_unwritable_out_exits_2(self, fixtures, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "lts", fixtures / "inhibition_full.bp", "--out", out_path)
+        assert (code, out) == (2, "")
+        assert err == f"{out_path}: No such file or directory\n"
+        assert "Traceback" not in err
+
 
 class TestCheckCommand:
     def test_fast_slow_equivalent(self, fixtures, capsys):
@@ -371,6 +378,22 @@ class TestCheckCommand:
             rel_path,
         )
         assert code2 == 0 and emitted
+
+    def test_unwritable_emit_relation_exits_2(self, fixtures, capsys, tmp_path):
+        rel_path = tmp_path / "missing" / "r.json"
+        code, out, err = run(
+            capsys,
+            "check",
+            fixtures / "inhibition_full.bp",
+            fixtures / "inhibition_reduced.bp",
+            "--config",
+            fixtures / "inhibition.cfg",
+            "--emit-relation",
+            rel_path,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"{rel_path}: No such file or directory\n"
+        assert "Traceback" not in err
 
     def test_json_deterministic(self, fixtures, capsys):
         args = (

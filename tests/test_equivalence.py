@@ -345,6 +345,13 @@ class TestCongruenceProbe:
         with pytest.raises(InvalidModelError, match=r"repeated-species\(S1\)"):
             congruence_probe(s1, s2, s1, cfg, max_states=1)
 
+    def test_configuration_checked_before_any_build(self):
+        # the configuration leaves the components' fast action b unpartitioned
+        s1, s2, ctx, _ = burst_systems()
+        cfg = EquivConfig(fast=frozenset({"a"}), slow=frozenset({"g"}))
+        with pytest.raises(EquivalenceError, match=r"^unpartitioned-action\(b\)$"):
+            congruence_probe(s1, s2, ctx, cfg, max_states=1)
+
     def test_burst_counterexample(self):
         s1, s2, ctx, cfg = burst_systems()
         probe = congruence_probe(s1, s2, ctx, cfg)

@@ -9,6 +9,8 @@ from fastslow import (
     ParseError,
     Prefix,
     Role,
+    SpeciesDef,
+    SystemDef,
     parse_config,
     parse_model,
     render_config,
@@ -18,6 +20,16 @@ from randgen import random_system
 from systems import inhibition_full
 
 import random
+
+
+def spans_of(parse, text: str) -> list[tuple[str, int, int, int, int]]:
+    """Each diagnostic as (message, line, column, start, end)."""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return [
+        (d.message, d.span.line, d.span.column, d.span.start, d.span.end)
+        for d in err.value.diagnostics
+    ]
 
 
 def diagnostics_of(text: str) -> list[str]:
@@ -89,6 +101,22 @@ class TestParseModel:
             assert 0 <= d.span.start <= d.span.end <= len(text)
             assert d.span.line >= 1 and d.span.column >= 1
 
+    def test_problem_spans(self):
+        # a problem points at the first declared species it names in
+        # parentheses, even as an action's name, or else at the system line
+        text = (
+            "max A = 2;\nmax B = 2;\n"
+            "species A = (B,1) << A;\n"
+            "species B = (r,1) >> B;\n"
+            "system = A[3] <B,x> B[0] <*> Q[1];\n"
+        )
+        assert spans_of(parse_model, text) == [
+            ("level-out-of-range(A): initial 3 not in 0..2", 3, 9, 30, 31),
+            ("unknown-species(Q)", 5, 1, 70, 76),
+            ("dangling-coop-action(B)", 4, 9, 54, 55),
+            ("dangling-coop-action(x)", 5, 1, 70, 76),
+        ]
+
     def test_comments_and_primes(self):
         parsed = parse_model(
             "// a comment\nmax S' = 2; // trailing\nspecies S' = (a,1) << S';\nsystem = S'[1];\n"
@@ -118,8 +146,6 @@ class TestRender:
         assert parse_model(text) == sys
 
     def test_empty_coop_set_round_trips(self):
-        from fastslow import SpeciesDef, SystemDef
-
         a = SpeciesDef("A", (Prefix("x", 1, Role.PRODUCT),), 2)
         b = SpeciesDef("B", (Prefix("x", 1, Role.REACTANT),), 2)
         sys = SystemDef((a, b), Node(Leaf("A", 0), frozenset(), Leaf("B", 1)))
@@ -132,6 +158,19 @@ class TestRender:
             again = parse_model(text)
             assert again == sys, text
             assert render_model(again) == text
+
+    def test_deep_right_nested_chain_round_trips(self):
+        n = 3000
+        defs = tuple(
+            SpeciesDef(f"S{i}", (Prefix(f"a{i}", 1, Role.PRODUCT),), 1) for i in range(n)
+        )
+        tree = Leaf(f"S{n - 1}", 0)
+        for i in reversed(range(n - 1)):
+            tree = Node(Leaf(f"S{i}", 0), None, tree)
+        text = render_model(SystemDef(defs, tree))
+        assert text.endswith("S2998[0] <*> S2999[0]" + ")" * (n - 2) + ";\n")
+        # texts, not trees: == on a tree this deep recurses
+        assert render_model(parse_model(text)) == text
 
     def test_unrenderable_context_rejected(self):
         sys = parse_model('max S = 2;\nspecies S = (a,1) << S;\nsystem = S[1];\n')
@@ -165,6 +204,25 @@ class TestParseConfig:
     def test_malformed_alias(self):
         with pytest.raises(ParseError):
             parse_config("alias: P'\n")
+
+    def test_diagnostic_spans(self):
+        # each span covers its whole line, carriage return included
+        text = (
+            "fast: a, b\r\n"
+            "// only a comment\n"
+            "speed: g\n"
+            "\n"
+            "alias: P'\r\n"
+            "slow: g, 1x\n"
+            "alias: P' = P\n"
+            "alias: P' = Q  // clash\n"
+        )
+        assert spans_of(parse_config, text) == [
+            ("unrecognised configuration line: 'speed: g'", 3, 1, 30, 38),
+            ("alias lines look like: alias: X' = X", 5, 1, 40, 50),
+            ("invalid name '1x'", 6, 1, 51, 62),
+            ("conflicting alias for P'", 8, 1, 77, 100),
+        ]
 
     def test_render_config_round_trip(self):
         cfg = EquivConfig(
