@@ -202,11 +202,14 @@ def validate_system(sys: SystemDef) -> list[str]:
     if sys.step_size < 1:
         problems.append(f"invalid-step-size: {sys.step_size} < 1")
     defs: dict[str, SpeciesDef] = {}
+    valid: dict[str, bool] = {}  # like defs, the last definition wins
     for s in sys.species:
         if s.name in defs:
             problems.append(f"repeated-species({s.name})")
         defs[s.name] = s
-        problems.extend(validate_species(s))
+        species_problems = validate_species(s)
+        valid[s.name] = not species_problems
+        problems.extend(species_problems)
 
     placed: set[str] = set()
     for leaf in tree_leaves(sys.tree):
@@ -216,7 +219,7 @@ def validate_system(sys: SystemDef) -> list[str]:
         if leaf.species in placed:
             problems.append(f"repeated-species({leaf.species})")
         placed.add(leaf.species)
-        if sys.step_size >= 1 and not validate_species(defs[leaf.species]):
+        if sys.step_size >= 1 and valid[leaf.species]:
             n = max_level(defs[leaf.species], sys.step_size)
             if not 0 <= leaf.level <= n:
                 problems.append(

@@ -24,7 +24,7 @@ repeatable).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .model import (
@@ -39,8 +39,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """Position of a piece of input text, for diagnostics."""
 
     line: int
@@ -52,8 +51,7 @@ class SourceSpan:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     span: SourceSpan
     message: str
 
@@ -69,78 +67,73 @@ class ParseError(Exception):
         self.diagnostics = list(diagnostics)
 
 
+def _located(text: str, problems: list[tuple[int, int, str]]) -> ParseError:
+    """The error for ``(start, end, message)`` problems found in ``text``,
+    each placed at the line and column of its start offset."""
+    newlines = [m.start() for m in re.finditer("\n", text)]
+    diagnostics = []
+    for start, end, message in problems:
+        line = bisect_left(newlines, start)  # newlines before start
+        line_start = newlines[line - 1] + 1 if line else 0
+        span = SourceSpan(line + 1, start - line_start + 1, start, end)
+        diagnostics.append(Diagnostic(span, message))
+    return ParseError(diagnostics)
+
+
 class Token(NamedTuple):
     kind: str  # "ident", "int", "string", "symbol", "eof"
     text: str
-    span: SourceSpan
+    start: int
+    end: int
 
 
 KEYWORDS = {"step", "max", "species", "system", "param", "rate"}
 
-_SYMBOLS = ("<*>", "(+)", "(-)", "(.)", "<<", ">>", ";", "=", "+", "(", ")", ",", "[", "]", "<", ">")
+# An identifier is letters, digits, underscores and primes; its first
+# character must also pass ``str.isalpha``, which the class here is wider than.
+_NAME = re.compile(r"[^\W\d_][\w']*")
+
+_TOKEN = re.compile(
+    r"""(?P<space>(?:[ \t\r\n]|//[^\n]*)+)
+      | (?P<ident>""" + _NAME.pattern + r""")
+      | (?P<int>[0-9]+)
+      | (?P<string>"[^"\n]*")
+      | (?P<symbol><\*>|\([+.-]\)|<<|>>|[;=+(),\[\]<>])
+      | (?P<bad>"[^"\n]*|.)  # an unterminated string, or any other character
+    """,
+    re.VERBOSE,
+)
+
+
+def _is_name(text: str) -> bool:
+    return _NAME.fullmatch(text) is not None and text[0].isalpha()
 
 
 def _lex(text: str) -> list[Token]:
     tokens: list[Token] = []
-    diagnostics: list[Diagnostic] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-
-    def span(start: int, end: int) -> SourceSpan:
-        # no token spans a newline, so its column follows from its start
-        return SourceSpan(line, start - line_start + 1, start, end)
-
+    problems: list[tuple[int, int, str]] = []
+    match = _TOKEN.match
+    pos, n = 0, len(text)
     while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            pos += 1
-            line += 1
-            line_start = pos
+        m = match(text, pos)
+        kind = m.lastgroup
+        start, pos = m.span()
+        if kind == "space":
             continue
-        if ch in " \t\r":
-            pos += 1
-            continue
-        if text.startswith("//", pos):
-            pos = text.find("\n", pos)
-            if pos < 0:
-                pos = n
-            continue
-        start = pos
-        if ch.isalpha():
-            while pos < n and (text[pos].isalnum() or text[pos] in "_'"):
-                pos += 1
-            tokens.append(Token("ident", text[start:pos], span(start, pos)))
-            continue
-        if "0" <= ch <= "9":
-            while pos < n and "0" <= text[pos] <= "9":
-                pos += 1
-            tokens.append(Token("int", text[start:pos], span(start, pos)))
-            continue
-        if ch == '"':
-            pos += 1
-            while pos < n and text[pos] not in '"\n':
-                pos += 1
-            if pos >= n or text[pos] != '"':
-                diagnostics.append(Diagnostic(span(start, pos), "unterminated string"))
+        if kind == "ident" and not text[start].isalpha():
+            kind, pos = "bad", start + 1
+        if kind == "bad":
+            if text[start] == '"':
+                problems.append((start, pos, "unterminated string"))
                 break
-            pos += 1
-            tokens.append(Token("string", text[start + 1 : pos - 1], span(start, pos)))
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, pos):
-                pos += len(sym)
-                tokens.append(Token("symbol", sym, span(start, pos)))
-                break
+            problems.append((start, pos, f"unexpected character {text[start]!r}"))
+        elif kind == "string":
+            tokens.append(Token(kind, text[start + 1 : pos - 1], start, pos))
         else:
-            diagnostics.append(
-                Diagnostic(span(start, pos + 1), f"unexpected character {ch!r}")
-            )
-            pos += 1
-    tokens.append(Token("eof", "", span(n, n)))
-    if diagnostics:
-        raise ParseError(diagnostics)
+            tokens.append(Token(kind, m.group(), start, pos))
+    tokens.append(Token("eof", "", n, n))
+    if problems:
+        raise _located(text, problems)
     return tokens
 
 
@@ -149,15 +142,16 @@ _ROLE_BY_SPELLING = {role.value: role for role in Role}
 
 class _ModelParser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _lex(text)
         self.pos = 0
-        self.diagnostics: list[Diagnostic] = []
+        self.problems: list[tuple[int, int, str]] = []
         self.step: int | None = None
-        self.maxes: dict[str, tuple[int, SourceSpan]] = {}
-        # declaration order, which is also the order of the spans' starts
-        self.species: dict[str, tuple[tuple[Prefix, ...], SourceSpan]] = {}
+        self.maxes: dict[str, tuple[int, Token]] = {}
+        # declaration order, which is also the order of the tokens' starts
+        self.species: dict[str, tuple[tuple[Prefix, ...], Token]] = {}
         self.tree: Leaf | Node | None = None
-        self.tree_span: SourceSpan | None = None
+        self.system: Token | None = None  # the keyword of the system declaration
         self.params: dict[str, str] = {}
         self.rates: dict[str, str] = {}
 
@@ -176,11 +170,11 @@ class _ModelParser:
         tok = self.peek()
         return tok.kind == "symbol" and tok.text == text
 
-    def error(self, span: SourceSpan, message: str) -> None:
-        self.diagnostics.append(Diagnostic(span, message))
+    def error(self, tok: Token, message: str) -> None:
+        self.problems.append((tok.start, tok.end, message))
 
     def fail(self, message: str) -> "_Recover":
-        self.error(self.peek().span, message)
+        self.error(self.peek(), message)
         return _Recover()
 
     def expected(self, what: str) -> "_Recover":
@@ -199,7 +193,7 @@ class _ModelParser:
             return self.advance()
         raise self.expected(what)
 
-    def expect_int(self, what: str) -> tuple[int, SourceSpan]:
+    def expect_int(self, what: str) -> tuple[int, Token]:
         tok = self.peek()
         if tok.kind != "int":
             raise self.expected(what)
@@ -208,7 +202,7 @@ class _ModelParser:
         except ValueError:  # beyond the interpreter's limit on digits
             raise self.fail(f"{what} has too many digits ({len(tok.text)})") from None
         self.advance()
-        return value, tok.span
+        return value, tok
 
     def expect_string(self) -> Token:
         if self.peek().kind == "string":
@@ -253,13 +247,13 @@ class _ModelParser:
     def step_decl(self) -> None:
         kw = self.advance()
         self.expect_symbol("=")
-        value, span = self.expect_int("step size")
+        value, tok = self.expect_int("step size")
         self.expect_symbol(";")
         if self.step is not None:
-            self.error(kw.span, "duplicate step declaration")
+            self.error(kw, "duplicate step declaration")
             return
         if value < 1:
-            self.error(span, "step size must be at least 1")
+            self.error(tok, "step size must be at least 1")
             return
         self.step = value
 
@@ -267,15 +261,15 @@ class _ModelParser:
         self.advance()
         name = self.expect_ident("species name")
         self.expect_symbol("=")
-        value, span = self.expect_int("maximum count")
+        value, tok = self.expect_int("maximum count")
         self.expect_symbol(";")
         if name.text in self.maxes:
-            self.error(name.span, f"duplicate max declaration for {name.text}")
+            self.error(name, f"duplicate max declaration for {name.text}")
             return
         if value < 1:
-            self.error(span, "maximum count must be at least 1")
+            self.error(tok, "maximum count must be at least 1")
             return
-        self.maxes[name.text] = (value, name.span)
+        self.maxes[name.text] = (value, name)
 
     def species_decl(self) -> None:
         self.advance()
@@ -287,15 +281,15 @@ class _ModelParser:
             prefixes.append(self.summand(name.text))
         self.expect_symbol(";")
         if name.text in self.species:
-            self.error(name.span, f"repeated-species({name.text})")
+            self.error(name, f"repeated-species({name.text})")
             return
-        self.species[name.text] = (tuple(prefixes), name.span)
+        self.species[name.text] = (tuple(prefixes), name)
 
     def summand(self, species: str) -> Prefix:
         self.expect_symbol("(")
         action = self.expect_ident("action name")
         self.expect_symbol(",")
-        stoich, stoich_span = self.expect_int("stoichiometric coefficient")
+        stoich, stoich_tok = self.expect_int("stoichiometric coefficient")
         self.expect_symbol(")")
         op = self.peek()
         role = _ROLE_BY_SPELLING.get(op.text) if op.kind == "symbol" else None
@@ -304,10 +298,10 @@ class _ModelParser:
         self.advance()
         target = self.expect_ident("species name")
         if stoich < 1:
-            self.error(stoich_span, "stoichiometric coefficient must be at least 1")
+            self.error(stoich_tok, "stoichiometric coefficient must be at least 1")
         if target.text != species:
             self.error(
-                target.span,
+                target,
                 f"species {species} must return to itself, found {target.text}",
             )
         return Prefix(action.text, stoich, role)
@@ -318,10 +312,10 @@ class _ModelParser:
         tree = self.composition()
         self.expect_symbol(";")
         if self.tree is not None:
-            self.error(kw.span, "duplicate system declaration")
+            self.error(kw, "duplicate system declaration")
             return
         self.tree = tree
-        self.tree_span = kw.span
+        self.system = kw
 
     def composition(self) -> Leaf | Node:
         # Open groups wait on a stack with the operand and operator before
@@ -377,28 +371,27 @@ class _ModelParser:
         value = self.expect_string()
         self.expect_symbol(";")
         if name.text in table:
-            self.error(name.span, f"duplicate {kw} declaration for {name.text}")
+            self.error(name, f"duplicate {kw} declaration for {name.text}")
             return
         table[name.text] = value.text
 
     # assembly -----------------------------------------------------------
 
     def assemble(self) -> SystemDef:
-        eof = self.tokens[-1].span
         defs: list[SpeciesDef] = []
-        for name, (prefixes, span) in self.species.items():
+        for name, (prefixes, tok) in self.species.items():
             entry = self.maxes.get(name)
             if entry is None:
-                self.error(span, f"missing max declaration for species {name}")
+                self.error(tok, f"missing max declaration for species {name}")
                 continue
             defs.append(SpeciesDef(name, prefixes, entry[0]))
-        for name, (_, span) in self.maxes.items():
+        for name, (_, tok) in self.maxes.items():
             if name not in self.species:
-                self.error(span, f"max declared for unknown species {name}")
+                self.error(tok, f"max declared for unknown species {name}")
         if self.tree is None:
-            self.error(eof, "missing system declaration")
-        if self.diagnostics:
-            raise ParseError(self.diagnostics)
+            self.error(self.tokens[-1], "missing system declaration")
+        if self.problems:
+            raise _located(self.text, self.problems)
         assert self.tree is not None
         sys = SystemDef(
             species=tuple(defs),
@@ -414,9 +407,9 @@ class _ModelParser:
                 for n in _PARENTHESISED.findall(problem)
                 if n in self.species
             ]
-            self.error(min(named, key=lambda sp: sp.start, default=self.tree_span), problem)
-        if self.diagnostics:
-            raise ParseError(self.diagnostics)
+            self.error(min(named, key=lambda tok: tok.start, default=self.system), problem)
+        if self.problems:
+            raise _located(self.text, self.problems)
         return sys
 
 
@@ -447,19 +440,14 @@ def parse_config(text: str) -> EquivConfig:
     slow: set[str] = set()
     delta: set[str] = set()
     aliases: dict[str, str] = {}
-    diagnostics: list[Diagnostic] = []
-
-    def is_name(token: str) -> bool:
-        return (
-            token != ""
-            and token[0].isalpha()
-            and all(c.isalnum() or c in "_'" for c in token)
-        )
+    problems: list[tuple[int, int, str]] = []
+    # each action in both classes, at the first line that lists it in its second
+    both: dict[str, tuple[int, int]] = {}
 
     offset = 0  # of the current line's first character
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        start = offset
-        offset += len(raw) + 1
+    for raw in text.split("\n"):
+        start, end = offset, offset + len(raw)
+        offset = end + 1
         line = raw.split("//", 1)[0].strip()
         if not line:
             continue
@@ -471,7 +459,7 @@ def parse_config(text: str) -> EquivConfig:
         elif key == "alias":
             source, eq, target = rest.partition("=")
             source, target = source.strip(), target.strip()
-            if not eq or not is_name(source) or not is_name(target):
+            if not eq or not _is_name(source) or not _is_name(target):
                 problem = "alias lines look like: alias: X' = X"
             elif aliases.get(source, target) != target:
                 problem = f"conflicting alias for {source}"
@@ -479,23 +467,21 @@ def parse_config(text: str) -> EquivConfig:
                 aliases[source] = target
         else:
             names = [part.strip() for part in rest.split(",") if part.strip()]
-            bad = [n for n in names if not is_name(n)]
+            bad = [n for n in names if not _is_name(n)]
             if bad:
                 problem = f"invalid name {bad[0]!r}"
             else:
                 {"fast": fast, "slow": slow, "delta": delta}[key].update(names)
+                for name in names:
+                    if name in fast and name in slow:
+                        both.setdefault(name, (start, end))
         if problem is not None:
-            span = SourceSpan(line_no, 1, start, start + len(raw))
-            diagnostics.append(Diagnostic(span, problem))
+            problems.append((start, end, problem))
 
-    for action in sorted(fast & slow):
-        diagnostics.append(
-            Diagnostic(
-                SourceSpan(1, 1, 0, 0), f"action-in-both-classes({action})"
-            )
-        )
-    if diagnostics:
-        raise ParseError(diagnostics)
+    for action in sorted(both):
+        problems.append((*both[action], f"action-in-both-classes({action})"))
+    if problems:
+        raise _located(text, problems)
     return EquivConfig(frozenset(fast), frozenset(slow), frozenset(delta), aliases)
 
 

@@ -9,17 +9,91 @@ from math import gcd, lcm
 
 from fastslow import (
     CapabilityLabel,
+    Diagnostic,
     EquivConfig,
     LabelEntry,
     Leaf,
     Lts,
     Node,
+    ParseError,
     Role,
+    SourceSpan,
     StoichMatrix,
     SystemDef,
     filter_label,
     max_level,
 )
+
+
+_SYMBOLS = ("<*>", "(+)", "(-)", "(.)", "<<", ">>", ";", "=", "+", "(", ")", ",", "[", "]", "<", ">")
+
+
+def lex_oracle(text: str) -> list[tuple[str, str, SourceSpan]]:
+    """The model lexer as a character loop: ``(kind, text, span)`` for each
+    token, ending with ``eof``, or a ParseError with every diagnostic.
+    Symbols are tried longest first, one spelling at a time; line and
+    column are counted as the loop goes."""
+    tokens: list[tuple[str, str, SourceSpan]] = []
+    diagnostics: list[Diagnostic] = []
+    pos = 0
+    line = 1
+    line_start = 0
+    n = len(text)
+
+    def span(start: int, end: int) -> SourceSpan:
+        # no token spans a newline, so its column follows from its start
+        return SourceSpan(line, start - line_start + 1, start, end)
+
+    while pos < n:
+        ch = text[pos]
+        if ch == "\n":
+            pos += 1
+            line += 1
+            line_start = pos
+            continue
+        if ch in " \t\r":
+            pos += 1
+            continue
+        if text.startswith("//", pos):
+            pos = text.find("\n", pos)
+            if pos < 0:
+                pos = n
+            continue
+        start = pos
+        if ch.isalpha():
+            while pos < n and (text[pos].isalnum() or text[pos] in "_'"):
+                pos += 1
+            tokens.append(("ident", text[start:pos], span(start, pos)))
+            continue
+        if "0" <= ch <= "9":
+            while pos < n and "0" <= text[pos] <= "9":
+                pos += 1
+            tokens.append(("int", text[start:pos], span(start, pos)))
+            continue
+        if ch == '"':
+            pos += 1
+            while pos < n and text[pos] not in '"\n':
+                pos += 1
+            if pos >= n or text[pos] != '"':
+                diagnostics.append(Diagnostic(span(start, pos), "unterminated string"))
+                break
+            pos += 1
+            tokens.append(("string", text[start + 1 : pos - 1], span(start, pos)))
+            continue
+        for sym in _SYMBOLS:
+            if text.startswith(sym, pos):
+                pos += len(sym)
+                tokens.append(("symbol", sym, span(start, pos)))
+                break
+        else:
+            diagnostics.append(
+                Diagnostic(span(start, pos + 1), f"unexpected character {ch!r}")
+            )
+            pos += 1
+    tokens.append(("eof", "", span(n, n)))
+    if diagnostics:
+        raise ParseError(diagnostics)
+    return tokens
 
 
 def step_tree_oracle(

@@ -93,6 +93,20 @@ class TestValidateSystem:
             p.startswith("level-out-of-range(S)") for p in validate_system(sys)
         )
 
+    def test_last_repeated_definition_decides_the_level_check(self):
+        # the level is checked only against a valid definition
+        good = species("S", Prefix("a", 1, Role.REACTANT), max_count=5)
+        empty = species("S")
+        assert validate_system(SystemDef((empty, good), Leaf("S", 6))) == [
+            "empty-definition(S)",
+            "repeated-species(S)",
+            "level-out-of-range(S): initial 6 not in 0..5",
+        ]
+        assert validate_system(SystemDef((good, empty), Leaf("S", 6))) == [
+            "repeated-species(S)",
+            "empty-definition(S)",
+        ]
+
     def test_dangling_coop_action(self):
         a = species("A", Prefix("x", 1, Role.REACTANT))
         b = species("B", Prefix("y", 1, Role.PRODUCT))

@@ -16,6 +16,8 @@ from fastslow import (
     render_config,
     render_model,
 )
+from fastslow.parser import _lex, _located
+from oracles import lex_oracle
 from randgen import random_system
 from systems import inhibition_full
 
@@ -124,6 +126,59 @@ class TestParseModel:
         assert parsed.species_order == ("S'",)
 
 
+# single characters and spellings that stress the lexer's rules: line
+# ends, comments, quotes, characters that str.isalpha rejects but a
+# regular expression's word class takes, NUL, and every symbol
+_LEX_PIECES = (
+    "\r", "\r\n", "\n", "//", "/", '"', " ", "\t", "\u00b2", "\u00bd", "\u216b",
+    "\u0663", "\x00", "_", "'", "7", "x", "\u00df", "<*>", "(+)", "(-)", "(.)",
+    "<<", ">>", ";", "=", "+", "(", ")", ",", "[", "]", "<", ">",
+)
+
+
+def _mutated(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randint(0, len(text))
+        choice = rng.random()
+        if choice < 0.6:
+            text = text[:at] + rng.choice(_LEX_PIECES) + text[at:]
+        elif choice < 0.8:
+            text = text[:at] + text[at + rng.randint(1, 8) :]
+        else:
+            text = text[:at] + text[at : at + rng.randint(1, 8)] + text[at:]
+    return text
+
+
+def _lexed(lex, text: str) -> list[tuple]:
+    """Each token as (kind, text, line, column, start, end), or else each
+    diagnostic as (message, line, column, start, end)."""
+    try:
+        tokens = lex(text)
+    except ParseError as err:
+        return [(d.message, *d.span) for d in err.diagnostics]
+    if lex is lex_oracle:
+        return [(kind, tok, *span) for kind, tok, span in tokens]
+    located = _located(text, [(t.start, t.end, "") for t in tokens])
+    return [(t.kind, t.text, *d.span) for t, d in zip(tokens, located.diagnostics)]
+
+
+class TestLexAgainstOracle:
+    def test_mutated_texts(self, fixtures):
+        bases = [p.read_text() for p in sorted(fixtures.iterdir())]
+        bases += [
+            render_model(random_system(random.Random(f"lex-base:{case}")))
+            for case in range(40)
+        ]
+        rng = random.Random("lex-oracle")
+        failures = 0
+        for case in range(2400):
+            text = _mutated(rng, bases[case % len(bases)])
+            expected = _lexed(lex_oracle, text)
+            assert _lexed(_lex, text) == expected, repr(text)
+            failures += expected[-1][0] != "eof"
+        assert 0 < failures < 2400  # both outcomes are exercised
+
+
 class TestRender:
     def test_fixture_round_trip(self, fixtures):
         source = (fixtures / "inhibition_full.bp").read_text()
@@ -192,6 +247,16 @@ class TestParseConfig:
         with pytest.raises(ParseError) as err:
             parse_config("fast: g\nslow: g\n")
         assert any("action-in-both-classes(g)" in str(d) for d in err.value.diagnostics)
+        # after the per-line problems, sorted by action, each at the first
+        # line that lists the action in its second class
+        assert spans_of(parse_config, "fast: g, a\nslow: g\nspeed: x\nslow: a, g\n") == [
+            ("unrecognised configuration line: 'speed: x'", 3, 1, 19, 27),
+            ("action-in-both-classes(a)", 4, 1, 28, 38),
+            ("action-in-both-classes(g)", 2, 1, 11, 18),
+        ]
+        assert spans_of(parse_config, "slow: x\n\nfast: a, g\nslow: g\n") == [
+            ("action-in-both-classes(g)", 4, 1, 20, 27),
+        ]
 
     def test_empty_delta_is_valid(self):
         cfg = parse_config("fast: a\nslow: g\n")
