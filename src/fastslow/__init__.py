@@ -12,7 +12,6 @@ from .classification import (
     ShortcutPreconditionError,
     StateCollisionError,
     StoichMatrix,
-    SufficiencyReport,
     VariableClassification,
     classify,
     classification_report,
@@ -27,7 +26,6 @@ from .classification import (
 from .equivalence import (
     CheckOutcome,
     CongruenceReport,
-    PairRelation,
     Witness,
     check_fast_slow_relation,
     check_slow_relation,

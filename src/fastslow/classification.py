@@ -25,12 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from . import rational
-from .equivalence import (
-    CheckOutcome,
-    PairRelation,
-    check_fast_slow_relation,
-    check_slow_relation,
-)
+from .equivalence import CheckOutcome, check_fast_slow_relation, check_slow_relation
 from .model import EquivConfig, SystemDef
 from .semantics import DEFAULT_STATE_CAP, Lts, _Compiled, build_lts
 
@@ -349,20 +344,12 @@ def transform_lts(lts: Lts, cls: VariableClassification) -> Lts:
     )
 
 
-@dataclass(frozen=True)
-class SufficiencyReport:
-    """Whether the slow-only check may replace the fast-slow check."""
-
-    applicable: bool
-    reasons: tuple[str, ...] = ()
-
-
 def slow_sufficiency(
     cls_a: VariableClassification,
     cls_b: VariableClassification,
     cfg: EquivConfig,
-) -> SufficiencyReport:
-    """Preconditions for the shortcut.
+) -> tuple[str, ...]:
+    """Why the shortcut cannot be used; empty when it can.
 
     The second model must have no fast variables, both slow bases must be
     individual species, and those species must coincide under the alias
@@ -371,38 +358,28 @@ def slow_sufficiency(
     reasons = []
     if cls_b.n_f != 0:
         reasons.append("second model has fast variables")
-    species_a = cls_a.slow_species()
-    species_b = cls_b.slow_species()
-    for vec, name in zip(cls_a.slow, species_a):
-        if name is None:
-            reasons.append(
-                "slow variable not an individual species: "
-                + vector_name(vec, cls_a.species)
-            )
-    for vec, name in zip(cls_b.slow, species_b):
-        if name is None:
-            reasons.append(
-                "slow variable not an individual species: "
-                + vector_name(vec, cls_b.species)
-            )
-    if None not in species_a and None not in species_b:
-        canon_a = {cfg.canon(n) for n in species_a if n is not None}
-        canon_b = {cfg.canon(n) for n in species_b if n is not None}
-        if canon_a != canon_b:
-            reasons.append(
-                "slow species differ between the models: "
-                f"{sorted(canon_a)} vs {sorted(canon_b)}"
-            )
-    return SufficiencyReport(not reasons, tuple(reasons))
+    canon: list[set[str]] = []  # one per model whose slow basis is all species
+    for cls in (cls_a, cls_b):
+        names = cls.slow_species()
+        reasons += [
+            "slow variable not an individual species: " + vector_name(vec, cls.species)
+            for vec, name in zip(cls.slow, names)
+            if name is None
+        ]
+        if None not in names:
+            canon.append({cfg.canon(n) for n in names})
+    if len(canon) == 2 and canon[0] != canon[1]:
+        reasons.append(
+            "slow species differ between the models: "
+            f"{sorted(canon[0])} vs {sorted(canon[1])}"
+        )
+    return tuple(reasons)
 
 
 @dataclass(frozen=True)
 class ShortcutOutcome:
-    """Evidence trail of the shortcut pipeline."""
+    """Verdicts of the slow check and of its fast-slow cross-validation."""
 
-    sufficiency: SufficiencyReport
-    classification_a: VariableClassification
-    classification_b: VariableClassification
     slow_outcome: CheckOutcome
     fastslow_outcome: CheckOutcome
 
@@ -449,9 +426,9 @@ def shortcut_check(
     """
     cls_a = classify(sys_a, cfg)
     cls_b = classify(sys_b, cfg)
-    report = slow_sufficiency(cls_a, cls_b, cfg)
-    if not report.applicable:
-        raise ShortcutPreconditionError(list(report.reasons))
+    reasons = slow_sufficiency(cls_a, cls_b, cfg)
+    if reasons:
+        raise ShortcutPreconditionError(list(reasons))
     cls_b = _align_slow(cls_a, cls_b, cfg)
     lts_a = build_lts(sys_a, max_states=max_states)
     lts_b = build_lts(sys_b, max_states=max_states)
@@ -481,27 +458,18 @@ def shortcut_check(
         except KeyError:
             raise ShortcutLiftError(coords_b, "second-model") from None
         pairs.add((ia, ib))
-    lifted = PairRelation(frozenset(pairs))
+    lifted = frozenset(pairs)
     slow_outcome = check_slow_relation(lifted, t_a, t_b, cfg)
     if not slow_outcome.equivalent:
         fs = slow_outcome
     else:
         fs = check_fast_slow_relation(lifted, lts_a, lts_b, cfg)
-    return ShortcutOutcome(
-        sufficiency=report,
-        classification_a=cls_a,
-        classification_b=cls_b,
-        slow_outcome=slow_outcome,
-        fastslow_outcome=fs,
-    )
+    return ShortcutOutcome(slow_outcome, fs)
 
 
-def classification_report(
-    sys: SystemDef, cfg: EquivConfig, cls: VariableClassification | None = None
-) -> dict:
+def classification_report(sys: SystemDef, cfg: EquivConfig) -> dict:
     """JSON-friendly classification summary with stable key order."""
-    if cls is None:
-        cls = classify(sys, cfg)
+    cls = classify(sys, cfg)
     m = stoich_matrix(sys)
 
     def basis_entry(vector: IntVector, constant: int | None = None) -> dict:

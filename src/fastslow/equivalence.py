@@ -24,7 +24,7 @@ from __future__ import annotations
 import reprlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Literal
 
 from .model import EquivConfig, SystemDef, compose
 from .semantics import (
@@ -36,6 +36,12 @@ from .semantics import (
     build_lts,
     format_state,
 )
+
+
+# Cross-system state index pairs (first, second).  A stored pair (p, q)
+# stands for both (p, q) and (q, p): the checking game plays both
+# directions, so no mirrored copies are kept.
+Relation = frozenset[tuple[int, int]]
 
 
 class EquivalenceError(Exception):
@@ -51,26 +57,6 @@ class RelationResolutionError(EquivalenceError):
         super().__init__(f"no reachable {side} state has level vector {list(vector)}")
         self.vector = tuple(vector)
         self.side = side
-
-
-@dataclass(frozen=True)
-class PairRelation:
-    """A set of cross-system state index pairs.
-
-    A stored pair (p, q) stands for both (p, q) and (q, p); the checking
-    game explicitly plays both directions, so no mirrored copies are kept.
-    """
-
-    pairs: frozenset[tuple[int, int]]
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.pairs))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -151,39 +137,34 @@ class _Game:
         return None
 
 
-def _validated_pairs(r: PairRelation, a: Lts, b: Lts) -> frozenset[tuple[int, int]]:
-    if not r.pairs:
+def _check_relation(
+    rel: Relation, a: Lts, b: Lts, cfg: EquivConfig, include_fast: bool
+) -> CheckOutcome:
+    if not rel:
         raise EquivalenceError("empty-relation")
-    for p, q in r.pairs:
+    for p, q in rel:
         if not (0 <= p < a.n_states and 0 <= q < b.n_states):
             raise EquivalenceError(f"index-out-of-range(({p},{q}))")
-    return r.pairs
-
-
-def _check_relation(
-    r: PairRelation, a: Lts, b: Lts, cfg: EquivConfig, include_fast: bool
-) -> CheckOutcome:
-    pairs = _validated_pairs(r, a, b)
     game = _Game(a, b, cfg, include_fast)
-    for p, q in sorted(pairs):
-        witness = game.witness_for(pairs, p, q)
+    for p, q in sorted(rel):
+        witness = game.witness_for(rel, p, q)
         if witness is not None:
             return CheckOutcome("relation-not-a-bisimulation", witness)
     return CheckOutcome("equivalent")
 
 
 def check_fast_slow_relation(
-    r: PairRelation, a: Lts, b: Lts, cfg: EquivConfig
+    rel: Relation, a: Lts, b: Lts, cfg: EquivConfig
 ) -> CheckOutcome:
     """Verify a user-supplied fast-slow bisimulation candidate."""
-    return _check_relation(r, a, b, cfg, include_fast=True)
+    return _check_relation(rel, a, b, cfg, include_fast=True)
 
 
 def check_slow_relation(
-    r: PairRelation, a: Lts, b: Lts, cfg: EquivConfig
+    rel: Relation, a: Lts, b: Lts, cfg: EquivConfig
 ) -> CheckOutcome:
     """Verify a user-supplied slow bisimulation candidate (fast clause dropped)."""
-    return _check_relation(r, a, b, cfg, include_fast=False)
+    return _check_relation(rel, a, b, cfg, include_fast=False)
 
 
 def _index(
@@ -243,7 +224,7 @@ def _initial_pairs(groups_a, groups_b, include_fast: bool) -> set[tuple[int, int
 
 def _largest(
     a: Lts, b: Lts, cfg: EquivConfig, include_fast: bool
-) -> tuple[PairRelation, CheckOutcome]:
+) -> tuple[Relation, CheckOutcome]:
     game = _Game(a, b, cfg, include_fast)
     groups_a, strong_a, weak_a = _index(game.va, a.n_states, include_fast)
     groups_b, strong_b, weak_b = _index(game.vb, b.n_states, include_fast)
@@ -277,12 +258,12 @@ def _largest(
         # Some move at the initial pair fails against the final relation;
         # otherwise adding the pair would give a larger bisimulation.
         outcome = CheckOutcome("not-equivalent", game.witness_for(rel, *initial))
-    return PairRelation(frozenset(rel)), outcome
+    return frozenset(rel), outcome
 
 
 def largest_fast_slow(
     a: Lts, b: Lts, cfg: EquivConfig
-) -> tuple[PairRelation, CheckOutcome]:
+) -> tuple[Relation, CheckOutcome]:
     """Greatest fast-slow bisimulation over the cross product of states.
 
     Pairs with unequal weak slow move keys are never related; the rest
@@ -296,7 +277,7 @@ def largest_fast_slow(
     return _largest(a, b, cfg, include_fast=True)
 
 
-def largest_slow(a: Lts, b: Lts, cfg: EquivConfig) -> tuple[PairRelation, CheckOutcome]:
+def largest_slow(a: Lts, b: Lts, cfg: EquivConfig) -> tuple[Relation, CheckOutcome]:
     """Greatest slow bisimulation; as largest_fast_slow without the fast clause.
 
     The worklist starts from the pairs where the strong slow move keys of
@@ -406,8 +387,8 @@ def read_pair(item) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(item[0]), tuple(item[1])
 
 
-def resolve_relation(pairs: Iterable, a: Lts, b: Lts) -> PairRelation:
-    """Turn pairs of level vectors into a PairRelation over state indices.
+def resolve_relation(pairs: Iterable, a: Lts, b: Lts) -> Relation:
+    """Turn pairs of level vectors into a relation over state indices.
 
     Each element is read by ``read_pair``; vectors that match no
     reachable state are errors, never silently dropped.
@@ -424,11 +405,11 @@ def resolve_relation(pairs: Iterable, a: Lts, b: Lts) -> PairRelation:
         except KeyError:
             raise RelationResolutionError(vb, "second-model") from None
         out.add((p, q))
-    return PairRelation(frozenset(out))
+    return frozenset(out)
 
 
-def relation_to_obj(rel: PairRelation, a: Lts, b: Lts) -> list:
+def relation_to_obj(rel: Relation, a: Lts, b: Lts) -> list:
     """Render a relation as JSON-ready pairs of level vectors."""
     return [
-        [list(a.states[p]), list(b.states[q])] for p, q in sorted(rel.pairs)
+        [list(a.states[p]), list(b.states[q])] for p, q in sorted(rel)
     ]

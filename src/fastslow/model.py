@@ -92,18 +92,43 @@ class Leaf:
     level: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Node:
     """Cooperation of two subtrees.
 
     ``coop`` is the explicit synchronisation set, or ``None`` for the
     shared-all combinator (synchronise on every action that occurs
-    syntactically on both sides).
+    syntactically on both sides).  Trees compare and hash by structure,
+    without recursion, so a tree of any depth can be compared.
     """
 
     left: "Leaf | Node"
     coop: frozenset[str] | None
     right: "Leaf | Node"
+
+    def _preorder(self) -> tuple:
+        """Each node's ``coop`` and each leaf, in pre-order.
+
+        Every node has two children, so the sequence determines the tree.
+        """
+        out: list = []
+        stack: list[Leaf | Node] = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Leaf):
+                out.append(node)
+            else:
+                out.append(node.coop)
+                stack += [node.right, node.left]
+        return tuple(out)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Node):
+            return NotImplemented
+        return self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(self._preorder())
 
 
 CompositionTree = Leaf | Node

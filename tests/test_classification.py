@@ -100,7 +100,7 @@ class TestExplicitCooperation:
         states = build_lts(sys).states
         assert {(1, 1, 1), (0, 0, 1)} <= set(states)  # A+B is not constant
         assert {rational.dot(v, s) for v in cls.conserved for s in states} == {1}
-        doc = classification_report(sys, cfg, cls)
+        doc = classification_report(sys, cfg)
         assert [e["name"] for e in doc["conserved"]] == ["C"]
         assert doc["blockShapeVerified"] is True
 
@@ -319,16 +319,13 @@ class TestSufficiency:
     def test_inhibition_pair_applicable(self):
         cls_a = classify(inhibition_full(5, 3, 0), CFG)
         cls_b = classify(inhibition_reduced(5, 3, 0), CFG)
-        report = slow_sufficiency(cls_a, cls_b, CFG)
-        assert report.applicable
-        assert report.reasons == ()
+        assert slow_sufficiency(cls_a, cls_b, CFG) == ()
 
     def test_fast_variables_in_second_model(self):
         cls_a = classify(inhibition_reduced(5, 3, 0), CFG)
         cls_b = classify(inhibition_full(5, 3, 0), CFG)
-        report = slow_sufficiency(cls_a, cls_b, CFG)
-        assert not report.applicable
-        assert any("fast variables" in r for r in report.reasons)
+        reasons = slow_sufficiency(cls_a, cls_b, CFG)
+        assert any("fast variables" in r for r in reasons)
 
     def test_non_unit_slow_variable(self):
         cls_a = classify(inhibition_full(5, 3, 0), CFG)
@@ -340,16 +337,15 @@ class TestSufficiency:
             fast=cls_a.fast,
         )
         cls_b = classify(inhibition_reduced(5, 3, 0), CFG)
-        report = slow_sufficiency(doctored, cls_b, CFG)
-        assert not report.applicable
-        assert any("individual species" in r for r in report.reasons)
+        reasons = slow_sufficiency(doctored, cls_b, CFG)
+        assert any("individual species" in r for r in reasons)
 
     def test_mismatched_slow_species(self):
         cls_a = classify(inhibition_full(5, 3, 0), CFG)
         cls_b = classify(inhibition_reduced(5, 3, 0), CFG)
         blind = EquivConfig(fast=CFG.fast, slow=CFG.slow, delta=CFG.delta)
-        report = slow_sufficiency(cls_a, cls_b, blind)  # no alias: P vs P'
-        assert not report.applicable
+        reasons = slow_sufficiency(cls_a, cls_b, blind)  # no alias: P vs P'
+        assert reasons == ("slow species differ between the models: ['P'] vs [\"P'\"]",)
 
 
 class TestShortcut:
@@ -361,7 +357,6 @@ class TestShortcut:
             CFG,
             inhibition_relation_transformed(*params),
         )
-        assert result.sufficiency.applicable
         assert result.slow_outcome.equivalent
         assert result.fastslow_outcome.equivalent
         assert result.outcome.equivalent

@@ -8,7 +8,6 @@ from fastslow import (
     EquivConfig,
     InvalidModelError,
     Leaf,
-    PairRelation,
     Prefix,
     Role,
     SpeciesDef,
@@ -81,22 +80,23 @@ class TestCheckFastSlow:
 
     def test_empty_relation_rejected(self):
         a, b = inhibition_lts_pair(2, 1, 0)
-        with pytest.raises(EquivalenceError):
-            check_fast_slow_relation(PairRelation(frozenset()), a, b, CFG)
+        for check in (check_fast_slow_relation, check_slow_relation):
+            with pytest.raises(EquivalenceError, match="^empty-relation$"):
+                check(frozenset(), a, b, CFG)
 
     def test_index_out_of_range(self):
         a, b = inhibition_lts_pair(2, 1, 0)
-        with pytest.raises(EquivalenceError):
-            check_fast_slow_relation(
-                PairRelation(frozenset({(0, 99)})), a, b, CFG
-            )
+        for pair, shown in (((0, 99), "(0,99)"), ((-1, 0), "(-1,0)")):
+            with pytest.raises(EquivalenceError) as raised:
+                check_fast_slow_relation(frozenset({(0, 0), pair}), a, b, CFG)
+            assert str(raised.value) == f"index-out-of-range({shown})"
 
     def test_identity_relation_accepted_on_self(self):
         a, _ = inhibition_lts_pair(3, 2, 2)
         cfg = EquivConfig(
             fast=CFG.fast, slow=CFG.slow, delta=frozenset(a.species_order)
         )
-        rel = PairRelation(frozenset((i, i) for i in range(a.n_states)))
+        rel = frozenset((i, i) for i in range(a.n_states))
         assert check_fast_slow_relation(rel, a, a, cfg).equivalent
 
 
@@ -107,7 +107,7 @@ class TestLargestFastSlow:
         rel, outcome = largest_fast_slow(a, b, CFG)
         assert outcome.equivalent
         closed_form = resolve_relation(inhibition_relation(*params), a, b)
-        assert set(closed_form.pairs) <= set(rel.pairs)
+        assert closed_form <= rel
 
     def test_burst_components_equivalent(self):
         s1, s2, _, cfg = burst_systems()
@@ -135,10 +135,10 @@ class TestLargestFastSlow:
         rel, _ = largest_fast_slow(a, b, CFG)
         deleted = sorted(
             {(p, q) for p in range(a.n_states) for q in range(b.n_states)}
-            - set(rel.pairs)
+            - rel
         )
         for pair in deleted[:5] + deleted[-5:]:
-            bigger = PairRelation(frozenset(rel.pairs | {pair}))
+            bigger = rel | {pair}
             outcome = check_fast_slow_relation(bigger, a, b, CFG)
             assert outcome.verdict == "relation-not-a-bisimulation"
 
@@ -152,7 +152,7 @@ class TestLargestFastSlow:
     def test_self_equivalence_under_identity(self):
         for case in range(30):
             _, lts, _, _, cfg = random_case(case, seed="self")
-            rel = PairRelation(frozenset((i, i) for i in range(lts.n_states)))
+            rel = frozenset((i, i) for i in range(lts.n_states))
             assert check_fast_slow_relation(rel, lts, lts, cfg).equivalent
 
 
@@ -202,7 +202,7 @@ class TestLargestAgainstSweepOracle:
             for include_fast, largest in MODES:
                 rel, outcome = largest(x, y, c)
                 expected = largest_sweep_oracle(x, y, c, include_fast)
-                assert set(rel.pairs) == expected
+                assert rel == expected
                 assert outcome.equivalent == ((x.initial, y.initial) in expected)
                 assert (outcome.witness is None) == outcome.equivalent
                 if outcome.witness is not None:
@@ -253,7 +253,7 @@ class TestSlowChecks:
         fs, fs_out = largest_fast_slow(a, b, CFG)
         sl, sl_out = largest_slow(a, b, CFG)
         assert fs_out.equivalent and sl_out.equivalent
-        assert set(fs.pairs) <= set(sl.pairs)
+        assert fs <= sl
 
     def test_no_slow_actions_gives_all_pairs(self):
         spec = SpeciesDef("A", (Prefix("x", 1, Role.PRODUCT),), 2)

@@ -1,0 +1,63 @@
+"""Byte-for-byte pins of ``fastslow check`` on the inhibition fixtures.
+
+Each run's exit code, stdout and stderr are compared with the files under
+``tests/golden/``, and so is the relation written by ``--emit-relation``.
+The runs work in a scratch directory holding copies of the fixtures and
+name them by relative path, because the ``--json`` report keys its input
+digests by the paths given on the command line.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from fastslow.cli import main
+from systems import inhibition_relation_transformed
+
+GOLDEN = Path(__file__).parent / "golden"
+MODELS = ["inhibition_full.bp", "inhibition_reduced.bp", "--config", "inhibition.cfg"]
+REPORT = ["--json", "--deterministic"]
+TRANSFORMED = [[list(a), list(b)] for a, b in inhibition_relation_transformed(5, 3, 0)]
+
+# name: (relation file contents or None, extra arguments, exit code)
+CASES = {
+    "fast-slow": (None, ["--mode", "fast-slow"], 0),
+    "slow": (None, ["--mode", "slow"], 0),
+    "fast-slow-emit": (None, ["--mode", "fast-slow", "--emit-relation", "largest.json"], 0),
+    "shortcut": (TRANSFORMED, ["--mode", "shortcut", "--relation", "rel.json"], 0),
+    # without the pair of the zero states the slow check still passes and
+    # the cross-validating fast-slow check fails
+    "shortcut-missing-pair": (
+        TRANSFORMED[1:],
+        ["--mode", "shortcut", "--relation", "rel.json"],
+        4,
+    ),
+}
+
+
+def run_case(name: str, workdir: Path, fixtures: Path, capsys) -> tuple[int, str, str]:
+    """Run one case in ``workdir`` and return its exit code, stdout and stderr."""
+    relation, extra, _ = CASES[name]
+    for fixture in ("inhibition_full.bp", "inhibition_reduced.bp", "inhibition.cfg"):
+        shutil.copy(fixtures / fixture, workdir / fixture)
+    if relation is not None:
+        (workdir / "rel.json").write_text(json.dumps(relation))
+    code = main(["check", *MODELS, *extra, *REPORT])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_check_output_is_pinned(name, fixtures, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_case(name, tmp_path, fixtures, capsys)
+    assert code == CASES[name][2]
+    assert out == (GOLDEN / f"{name}.stdout").read_text()
+    assert err == ""
+    if "--emit-relation" in CASES[name][1]:
+        emitted = (tmp_path / "largest.json").read_bytes()
+        assert emitted == (GOLDEN / "largest.json").read_bytes()

@@ -24,6 +24,17 @@ from systems import inhibition_full
 import random
 
 
+def right_nested_chain(n: int) -> SystemDef:
+    """S0 <*> (S1 <*> (... <*> S{n-1})), every species at level 0."""
+    defs = tuple(
+        SpeciesDef(f"S{i}", (Prefix(f"a{i}", 1, Role.PRODUCT),), 1) for i in range(n)
+    )
+    tree = Leaf(f"S{n - 1}", 0)
+    for i in reversed(range(n - 1)):
+        tree = Node(Leaf(f"S{i}", 0), None, tree)
+    return SystemDef(defs, tree)
+
+
 def spans_of(parse, text: str) -> list[tuple[str, int, int, int, int]]:
     """Each diagnostic as (message, line, column, start, end)."""
     with pytest.raises(ParseError) as err:
@@ -215,17 +226,20 @@ class TestRender:
             assert render_model(again) == text
 
     def test_deep_right_nested_chain_round_trips(self):
-        n = 3000
-        defs = tuple(
-            SpeciesDef(f"S{i}", (Prefix(f"a{i}", 1, Role.PRODUCT),), 1) for i in range(n)
-        )
-        tree = Leaf(f"S{n - 1}", 0)
-        for i in reversed(range(n - 1)):
-            tree = Node(Leaf(f"S{i}", 0), None, tree)
-        text = render_model(SystemDef(defs, tree))
-        assert text.endswith("S2998[0] <*> S2999[0]" + ")" * (n - 2) + ";\n")
-        # texts, not trees: == on a tree this deep recurses
+        text = render_model(right_nested_chain(3000))
+        assert text.endswith("S2998[0] <*> S2999[0]" + ")" * 2998 + ";\n")
         assert render_model(parse_model(text)) == text
+
+    def test_deep_right_nested_chain_compares_and_hashes(self):
+        sys = right_nested_chain(3000)
+        text = render_model(sys)
+        parsed = parse_model(text)
+        assert parsed == parse_model(text) == sys
+        assert hash(parsed.tree) == hash(parse_model(text).tree) == hash(sys.tree)
+        # the deepest leaf starts one level higher
+        changed = parse_model(text.replace("S2999[0]", "S2999[1]"))
+        assert changed != parsed
+        assert changed.tree != sys.tree
 
     def test_unrenderable_context_rejected(self):
         sys = parse_model('max S = 2;\nspecies S = (a,1) << S;\nsystem = S[1];\n')
