@@ -1,4 +1,5 @@
-"""Byte-for-byte pins of ``fastslow check`` on the inhibition fixtures.
+"""Byte-for-byte pins of ``fastslow check`` and ``fastslow lts`` on the
+inhibition fixtures.
 
 Each run's exit code, stdout and stderr are compared with the files under
 ``tests/golden/``, and so is the relation written by ``--emit-relation``.
@@ -61,3 +62,34 @@ def test_check_output_is_pinned(name, fixtures, tmp_path, monkeypatch, capsys):
     if "--emit-relation" in CASES[name][1]:
         emitted = (tmp_path / "largest.json").read_bytes()
         assert emitted == (GOLDEN / "largest.json").read_bytes()
+
+
+# golden file: (lts arguments, stderr); the reduced model has primes in
+# its species names
+LTS_CASES = {
+    "lts-full.json": (["inhibition_full.bp", "--format", "json"], "18 states, 36 transitions\n"),
+    "lts-reduced.json": (["inhibition_reduced.bp", "--format", "json"], "6 states, 5 transitions\n"),
+    "lts-full.dot": (
+        ["inhibition_full.bp", "--format", "dot", "--config", "inhibition.cfg"],
+        "18 states, 36 transitions\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LTS_CASES))
+def test_lts_export_is_pinned(name, fixtures, monkeypatch, capsysbinary):
+    monkeypatch.chdir(fixtures)
+    args, err = LTS_CASES[name]
+    assert main(["lts", *args]) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.out == (GOLDEN / name).read_bytes()
+    assert captured.err == err.encode()
+
+
+@pytest.mark.parametrize("name", list(LTS_CASES))
+def test_lts_export_to_file_is_pinned(name, fixtures, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(fixtures)
+    out = tmp_path / name
+    assert main(["lts", *LTS_CASES[name][0], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    assert capsys.readouterr().out == LTS_CASES[name][1]
