@@ -32,7 +32,7 @@ from .equivalence import (
     congruence_probe,
     largest_fast_slow,
     largest_slow,
-    relation_to_obj,
+    relation_to_json,
     resolve_relation,
     shared_fast_actions,
 )
@@ -73,6 +73,7 @@ from .semantics import (
     build_lts,
     filter_label,
     lts_to_dict,
+    lts_to_json,
     lts_to_dot,
     step,
 )

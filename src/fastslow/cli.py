@@ -50,7 +50,7 @@ def _read(path: str) -> str:
 
 def _write(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}") from None
 
@@ -118,7 +118,7 @@ def cmd_lts(args) -> int:
     if args.format == "dot":
         document = semantics.lts_to_dot(lts, cfg)
     else:
-        document = json.dumps(semantics.lts_to_dict(lts), indent=2) + "\n"
+        document = semantics.lts_to_json(lts) + "\n"
     counts = f"{lts.n_states} states, {lts.n_transitions} transitions"
     if args.out:
         _write(args.out, document)
@@ -197,8 +197,7 @@ def cmd_check(args) -> int:
     else:
         rel, outcome = largest(lts_a, lts_b, cfg)
         if args.emit_relation:
-            obj = equivalence.relation_to_obj(rel, lts_a, lts_b)
-            _write(args.emit_relation, json.dumps(obj, indent=2) + "\n")
+            _write(args.emit_relation, equivalence.relation_to_json(rel, lts_a, lts_b) + "\n")
 
     report = _report(
         args,

@@ -35,6 +35,7 @@ from .semantics import (
     WeakViews,
     build_lts,
     format_state,
+    json_array,
 )
 
 
@@ -408,8 +409,11 @@ def resolve_relation(pairs: Iterable, a: Lts, b: Lts) -> Relation:
     return frozenset(out)
 
 
-def relation_to_obj(rel: Relation, a: Lts, b: Lts) -> list:
-    """Render a relation as JSON-ready pairs of level vectors."""
-    return [
-        [list(a.states[p]), list(b.states[q])] for p, q in sorted(rel)
-    ]
+def relation_to_json(rel: Relation, a: Lts, b: Lts) -> str:
+    """The relation as a JSON array of [first-vector, second-vector] pairs
+    in ``sorted(rel)`` order, laid out as ``json.dumps(indent=2)`` lays it
+    out.  Each state's vector is rendered once."""
+    left = {p: json_array(list(map(str, a.states[p])), "    ") for p in {p for p, _ in rel}}
+    right = {q: json_array(list(map(str, b.states[q])), "    ") for q in {q for _, q in rel}}
+    pairs = [f"[\n    {left[p]},\n    {right[q]}\n  ]" for p, q in sorted(rel)]
+    return json_array(pairs, "")

@@ -98,8 +98,9 @@ class Node:
 
     ``coop`` is the explicit synchronisation set, or ``None`` for the
     shared-all combinator (synchronise on every action that occurs
-    syntactically on both sides).  Trees compare and hash by structure,
-    without recursion, so a tree of any depth can be compared.
+    syntactically on both sides).  Trees compare, hash, print, copy and
+    pickle without recursion, so a tree of any depth can be compared,
+    shown and sent to another process.
     """
 
     left: "Leaf | Node"
@@ -129,6 +130,39 @@ class Node:
 
     def __hash__(self) -> int:
         return hash(self._preorder())
+
+    def __repr__(self) -> str:
+        """The dataclass ``repr``, written from an explicit stack."""
+        parts: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, Node):
+                parts.append(f"{type(item).__qualname__}(left=")
+                stack += [")", item.right, f", coop={item.coop!r}, right=", item.left]
+            else:
+                parts.append(item if isinstance(item, str) else repr(item))
+        return "".join(parts)
+
+    def __reduce__(self):
+        # copy and pickle take the flat pre-order sequence, not the tree
+        return _tree_from_preorder, (self._preorder(),)
+
+
+def _tree_from_preorder(items: tuple) -> "Leaf | Node":
+    """The tree whose ``Node._preorder()`` is ``items``.
+
+    Read backwards, each ``coop`` takes the two subtrees finished last:
+    its left child first, then its right.
+    """
+    done: list[Leaf | Node] = []
+    for item in reversed(items):
+        if isinstance(item, Leaf):
+            done.append(item)
+        else:
+            left = done.pop()
+            done.append(Node(left, item, done.pop()))
+    return done[0]
 
 
 CompositionTree = Leaf | Node

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -406,7 +407,7 @@ class WeakViews:
 
 
 def lts_to_dict(lts: Lts) -> dict:
-    """JSON document with stable key order, suitable for golden files."""
+    """The document ``lts_to_json`` writes, as plain lists and dicts."""
     return {
         "species": list(lts.species_order),
         "states": [list(s) for s in lts.states],
@@ -429,6 +430,67 @@ def lts_to_dict(lts: Lts) -> dict:
             for t in lts.transitions
         ],
     }
+
+
+def json_array(items: list[str], indent: str) -> str:
+    """A JSON array of rendered items, laid out as ``json.dumps(indent=2)``
+    lays out an array that opens at nesting ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def _entry_json(e: LabelEntry) -> str:
+    """One label entry as it appears inside a transition's ``entries``."""
+    return (
+        "{\n"
+        f'          "species": {_json_str(e.species)},\n'
+        f'          "role": {_json_str(e.role.value)},\n'
+        f'          "level": {e.level},\n'
+        f'          "stoich": {e.stoich}\n'
+        "        }"
+    )
+
+
+def lts_to_json(lts: Lts) -> str:
+    """``json.dumps(lts_to_dict(lts), indent=2)``, written without the
+    pure-Python encoder that ``indent`` selects.
+
+    Each distinct entry and label is rendered once; a label becomes a
+    ``%`` template, so a transition costs one substitution of its source
+    and target.
+    """
+    entries: dict[LabelEntry, str] = {}
+    templates: dict[CapabilityLabel, str] = {}
+    transitions = []
+    for src, label, dst in lts.transitions:
+        template = templates.get(label)
+        if template is None:
+            rendered = []
+            for e in label.entries:
+                text = entries.get(e)
+                if text is None:
+                    text = entries[e] = _entry_json(e)
+                rendered.append(text)
+            middle = (
+                f'      "action": {_json_str(label.action)},\n'
+                f'      "entries": {json_array(rendered, "      ")},\n'
+            )
+            template = templates[label] = (
+                '{\n      "src": %d,\n' + middle.replace("%", "%%") + '      "dst": %d\n    }'
+            )
+        transitions.append(template % (src, dst))
+    species = [_json_str(name) for name in lts.species_order]
+    states = [json_array(list(map(str, s)), "    ") for s in lts.states]
+    return (
+        "{\n"
+        f'  "species": {json_array(species, "  ")},\n'
+        f'  "states": {json_array(states, "  ")},\n'
+        f'  "initial": {lts.initial},\n'
+        f'  "transitions": {json_array(transitions, "  ")}\n'
+        "}"
+    )
 
 
 def lts_to_dot(lts: Lts, cfg: EquivConfig | None = None) -> str:

@@ -3,12 +3,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import fastslow
 from fastslow.cli import main
 from systems import inhibition_relation, inhibition_relation_transformed
 
@@ -130,6 +134,30 @@ class TestLtsCommand:
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "lts", "no-such-file.bp")
         assert code == 2
+
+    def test_out_file_is_utf8_under_the_c_locale(self, tmp_path):
+        (tmp_path / "u.bp").write_text(
+            "max \u00c9 = 2;\nspecies \u00c9 = (r,1) >> \u00c9;\nsystem = \u00c9[0];\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "u.cfg").write_text("slow: r\ndelta: \u00c9\n", encoding="utf-8")
+        env = dict(
+            os.environ,
+            LC_ALL="C",
+            PYTHONUTF8="0",
+            PYTHONCOERCECLOCALE="0",
+            PYTHONPATH=str(Path(fastslow.__file__).parents[1]),
+        )
+        argv = ["lts", "u.bp", "--format", "dot", "--config", "u.cfg", "--out", "u.dot"]
+        done = subprocess.run(
+            [sys.executable, "-m", "fastslow.cli", *argv],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"3 states, 2 transitions\n", b"")
+        dot = (tmp_path / "u.dot").read_text(encoding="utf-8")
+        assert 'label="r; {\u00c9:>>(0,1)}"' in dot
 
     def test_unwritable_out_exits_2(self, fixtures, capsys, tmp_path):
         out_path = tmp_path / "missing" / "x.json"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from fastslow import (
     congruence_probe,
     largest_fast_slow,
     largest_slow,
-    relation_to_obj,
+    relation_to_json,
     resolve_relation,
     shared_fast_actions,
 )
@@ -388,7 +389,7 @@ class TestRelationIO:
     def test_round_trip(self):
         a, b = inhibition_lts_pair(2, 1, 0)
         rel, _ = largest_fast_slow(a, b, CFG)
-        obj = relation_to_obj(rel, a, b)
+        obj = json.loads(relation_to_json(rel, a, b))
         assert resolve_relation(obj, a, b) == rel
 
     def test_unresolvable_vector_is_error(self):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 from pathlib import Path
 
@@ -258,6 +260,37 @@ class TestCompose:
         )
         with pytest.raises(InvalidModelError):
             compose(s1, other)
+
+
+@dataclasses.dataclass(frozen=True)
+class DataclassNode:
+    """``Node``'s fields with the ``repr`` the dataclass decorator writes."""
+
+    left: object
+    coop: frozenset[str] | None
+    right: object
+
+
+def as_dataclass_node(tree):
+    if isinstance(tree, Leaf):
+        return tree
+    return DataclassNode(as_dataclass_node(tree.left), tree.coop, as_dataclass_node(tree.right))
+
+
+class TestNodeProtocols:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_repr_is_the_dataclass_repr(self, seed):
+        tree = random_system(random.Random(seed), sync_all=seed % 2 == 0).tree
+        expected = repr(as_dataclass_node(tree)).replace("DataclassNode(", "Node(")
+        assert repr(tree) == expected
+
+    def test_copy_and_pickle_keep_structure(self):
+        sys = inhibition_full(2, 1, 0)
+        tree = Node(Leaf("A", 1), frozenset({"a", "b"}), Node(Leaf("B", 0), None, Leaf("C", 2)))
+        for original in (sys, sys.tree, tree):
+            for clone in (copy.copy(original), copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
+                assert clone == original
+                assert repr(clone) == repr(original)
 
 
 class TestEquivConfig:

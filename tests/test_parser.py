@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from fastslow import (
@@ -240,6 +243,16 @@ class TestRender:
         changed = parse_model(text.replace("S2999[0]", "S2999[1]"))
         assert changed != parsed
         assert changed.tree != sys.tree
+
+    def test_deep_right_nested_chain_prints_copies_and_pickles(self):
+        sys = right_nested_chain(3000)
+        shown = repr(sys.tree)
+        assert shown.startswith("Node(left=Leaf(species='S0', level=0), coop=None, right=Node(")
+        assert shown.endswith("right=Leaf(species='S2999', level=0)" + ")" * 2999)
+        assert repr(sys).count("Node(") == 2999
+        assert copy.deepcopy(sys) == sys
+        assert pickle.loads(pickle.dumps(sys)) == sys
+        assert pickle.loads(pickle.dumps(sys.tree)).right.right.left == Leaf("S2", 0)
 
     def test_unrenderable_context_rejected(self):
         sys = parse_model('max S = 2;\nspecies S = (a,1) << S;\nsystem = S[1];\n')
