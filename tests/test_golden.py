@@ -1,5 +1,6 @@
 """Byte-for-byte pins of ``fastslow check`` and ``fastslow lts`` on the
-inhibition fixtures.
+inhibition fixtures, and of ``fastslow congruence`` on the burst and
+producer fixtures.
 
 Each run's exit code, stdout and stderr are compared with the files under
 ``tests/golden/``, and so is the relation written by ``--emit-relation``.
@@ -29,6 +30,7 @@ CASES = {
     "fast-slow": (None, ["--mode", "fast-slow"], 0),
     "slow": (None, ["--mode", "slow"], 0),
     "fast-slow-emit": (None, ["--mode", "fast-slow", "--emit-relation", "largest.json"], 0),
+    "slow-emit": (None, ["--mode", "slow", "--emit-relation", "largest-slow.json"], 0),
     "shortcut": (TRANSFORMED, ["--mode", "shortcut", "--relation", "rel.json"], 0),
     # without the pair of the zero states the slow check still passes and
     # the cross-validating fast-slow check fails
@@ -59,9 +61,34 @@ def test_check_output_is_pinned(name, fixtures, tmp_path, monkeypatch, capsys):
     assert code == CASES[name][2]
     assert out == (GOLDEN / f"{name}.stdout").read_text()
     assert err == ""
-    if "--emit-relation" in CASES[name][1]:
-        emitted = (tmp_path / "largest.json").read_bytes()
-        assert emitted == (GOLDEN / "largest.json").read_bytes()
+    extra = CASES[name][1]
+    if "--emit-relation" in extra:
+        emitted = extra[extra.index("--emit-relation") + 1]
+        assert (tmp_path / emitted).read_bytes() == (GOLDEN / emitted).read_bytes()
+
+
+# golden file: (congruence arguments, exit code); the burst compositions
+# are not equivalent, so their witness is pinned
+CONGRUENCE_CASES = {
+    "congruence-burst.stdout": (
+        ["burst_a.bp", "burst_b.bp", "drain_ctx.bp", "--config", "burst.cfg"],
+        1,
+    ),
+    "congruence-producer.stdout": (
+        ["producer_plain.bp", "producer_activated.bp", "consumer_ctx.bp", "--config", "producer.cfg"],
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CONGRUENCE_CASES))
+def test_congruence_output_is_pinned(name, fixtures, monkeypatch, capsys):
+    monkeypatch.chdir(fixtures)
+    args, code = CONGRUENCE_CASES[name]
+    assert main(["congruence", *args, *REPORT]) == code
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / name).read_text()
+    assert captured.err == ""
 
 
 # golden file: (lts arguments, stderr); the reduced model has primes in
