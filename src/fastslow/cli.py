@@ -371,6 +371,10 @@ _arg_parser = functools.cache(build_arg_parser)  # built once per process
 
 
 def main(argv: list[str] | None = None) -> int:
+    # standard output is UTF-8 whatever the locale, as written files are;
+    # a StringIO has no encoding to set
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     args = _arg_parser().parse_args(argv)
     args._started = time.monotonic()
     paths = [

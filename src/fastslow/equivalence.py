@@ -8,15 +8,20 @@ requires every fast step to be answered by a (possibly empty) fast
 sequence.  Verifying a user-supplied relation checks each stored pair in
 both directions.
 
-The largest bisimulation is the greatest fixpoint of deleting violating
-pairs, computed by one worklist engine for both games (after Henzinger,
+Within one system, fast-slow bisimilarity is weak bisimilarity with fast
+actions as silent steps, so the largest fast-slow bisimulation on the
+disjoint union of both systems is an equivalence: the strong
+bisimilarity of the saturated system (Milner, 1989).  It is found by
+signature refinement over the fast SCCs of both sides (Blom & Orzan,
+2003).  Partition refinement is not enough for slow bisimulation, whose
+largest relation need not be transitive.  It is the greatest fixpoint of
+deleting violating pairs, computed from a worklist (after Henzinger,
 Henzinger & Kopke, "Computing simulations on finite and infinite
-graphs", 1995).  The worklist starts from the pairs whose move keys are
-compatible, and each deletion re-queues only the live pairs that could
-have answered a move through the deleted pair.  Partition refinement is
-not enough here: the largest slow bisimulation need not be transitive.
-When the initial states end up unrelated, the witness is the first
-unanswered move at the initial pair against the final relation.
+graphs", 1995) that starts from the pairs whose move keys are
+compatible; each deletion re-queues only the live pairs that could have
+answered a move through the deleted pair.  When the initial states end
+up unrelated, the witness is the first unanswered move at the initial
+pair against the final relation.
 """
 
 from __future__ import annotations
@@ -168,68 +173,107 @@ def check_slow_relation(
     return _check_relation(rel, a, b, cfg, include_fast=False)
 
 
-def _index(
-    views: WeakViews, n: int, include_fast: bool
-) -> tuple[dict, list[set[int]], list[set[int]]]:
+def _index(views: WeakViews) -> tuple[dict, list[set[int]], list[set[int]]]:
     """Move-key groups and predecessor sets of the states of one side.
 
     States are grouped by (strong slow keys, weak slow keys), a key being
-    a filtered label.  The strong predecessors of x are the
-    states with a challenger move into x (a slow step, or a fast step in
-    fast-slow mode); the weak predecessors are the states with a defender
-    answer landing in x (a weak slow target, or a fast-closure member in
-    fast-slow mode).
+    a filtered label.  The strong predecessors of x are the states with
+    a slow step into x; the weak predecessors are the states with a weak
+    slow target x.  Weak targets are unions of fast closures, which hold
+    whole SCCs, so the members of an SCC share one weak-predecessor set.
     """
     groups: dict[tuple[frozenset, frozenset], list[int]] = {}
-    strong: list[set[int]] = [set() for _ in range(n)]
-    weak: list[set[int]] = [set() for _ in range(n)]
-    for s in range(n):
+    strong: list[set[int]] = [set() for _ in views.scc]
+    for s in range(len(views.scc)):
         slow = views.slow_strong(s)
-        weak_moves = views.weak_slow_moves(s)
         strong_keys = frozenset(label for label, _ in slow)
-        groups.setdefault((strong_keys, frozenset(weak_moves)), []).append(s)
+        groups.setdefault((strong_keys, frozenset(views.weak_slow_moves(s))), []).append(s)
         for _, dst in slow:
             strong[dst].add(s)
-        for targets in weak_moves.values():
-            for dst in targets:
-                weak[dst].add(s)
-        if include_fast:
-            for dst in views.fast_steps(s):
-                strong[dst].add(s)
-            for dst in views.fast_closure(s):
-                weak[dst].add(s)
-    return groups, strong, weak
+    weak_scc: list[set[int]] = [set() for _ in views.members]
+    for c, members in enumerate(views.members):
+        for d in frozenset().union(*views.weak_moves(c).values()):
+            weak_scc[d].update(members)
+    return groups, strong, [weak_scc[c] for c in views.scc]
 
 
-def _initial_pairs(groups_a, groups_b, include_fast: bool) -> set[tuple[int, int]]:
-    """Pairs whose move keys are compatible.
-
-    Every pair of the greatest fixpoint passes this filter.  In slow
-    mode each strong move of one side must be answered by a weak move
-    of the other with the same key.  In fast-slow mode the fast clause
-    carries the defender along every fast path of the challenger, so
-    every weak move of one side is also a weak move of the other and
-    the weak key sets are equal.
-    """
-    pairs = set()
-    for (strong_a, weak_a), states_a in groups_a.items():
-        for (strong_b, weak_b), states_b in groups_b.items():
-            if include_fast:
-                compatible = weak_a == weak_b
-            else:
-                compatible = strong_a <= weak_b and strong_b <= weak_a
-            if compatible:
-                pairs.update((p, q) for p in states_a for q in states_b)
-    return pairs
+def _outcome(game: _Game, rel: Relation) -> CheckOutcome:
+    initial = (game.a.initial, game.b.initial)
+    if initial in rel:
+        return CheckOutcome("equivalent")
+    # Some move at the initial pair fails against the final relation;
+    # otherwise adding the pair would give a larger bisimulation.
+    return CheckOutcome("not-equivalent", game.witness_for(rel, *initial))
 
 
-def _largest(
-    a: Lts, b: Lts, cfg: EquivConfig, include_fast: bool
+def largest_fast_slow(
+    a: Lts, b: Lts, cfg: EquivConfig
 ) -> tuple[Relation, CheckOutcome]:
-    game = _Game(a, b, cfg, include_fast)
-    groups_a, strong_a, weak_a = _index(game.va, a.n_states, include_fast)
-    groups_b, strong_b, weak_b = _index(game.vb, b.n_states, include_fast)
-    rel = _initial_pairs(groups_a, groups_b, include_fast)
+    """Greatest fast-slow bisimulation over the cross product of states.
+
+    Fast-slow bisimilarity is weak bisimilarity with fast actions as
+    silent steps, so the greatest one on the disjoint union of both
+    systems is an equivalence.  It is found by signature refinement of
+    the fast SCCs of both sides (Blom & Orzan, 2003), starting from one
+    block.  Each round gives an SCC the signature {block of d : d in its
+    fast closure} and {(label, block of d) : a weak slow move with that
+    filtered label reaches d}; each round refines the last, until the
+    number of blocks is stable.  The relation is every cross pair whose
+    SCCs share a block.  The outcome reports whether the two initial
+    states are related and, if not, a challenger move at the initial
+    pair that has no answer in the returned relation.
+    """
+    game = _Game(a, b, cfg, include_fast=True)
+    nodes = []  # (fast closure, weak slow moves) of every SCC, A's first
+    for views in (game.va, game.vb):
+        shift = len(nodes)
+        for c, reach in enumerate(views.reach):
+            moves = [(label, shift + d) for label, t in views.weak_moves(c).items() for d in t]
+            nodes.append(([shift + d for d in reach], moves))
+    block, count = [0] * len(nodes), 1
+    while True:
+        ids: dict = {}
+        block = [
+            ids.setdefault(
+                (
+                    frozenset([block[d] for d in closure]),
+                    frozenset([(label, block[d]) for label, d in moves]),
+                ),
+                len(ids),
+            )
+            for closure, moves in nodes
+        ]
+        if len(ids) == count:
+            break
+        count = len(ids)
+    side_a: dict[int, list[int]] = {}
+    for p, c in enumerate(game.va.scc):
+        side_a.setdefault(block[c], []).append(p)
+    shift = len(game.va.reach)
+    rel = frozenset(
+        (p, q) for q, c in enumerate(game.vb.scc) for p in side_a.get(block[shift + c], ())
+    )
+    return rel, _outcome(game, rel)
+
+
+def largest_slow(a: Lts, b: Lts, cfg: EquivConfig) -> tuple[Relation, CheckOutcome]:
+    """Greatest slow bisimulation; as largest_fast_slow without the fast clause.
+
+    A pair failing a clause is deleted and the pairs whose answers used
+    it are checked again; the result is the unique greatest fixpoint.
+    """
+    game = _Game(a, b, cfg, include_fast=False)
+    groups_a, strong_a, weak_a = _index(game.va)
+    groups_b, strong_b, weak_b = _index(game.vb)
+    # each strong move key of one side must be a weak move key of the other
+    rel = {
+        (p, q)
+        for (strong_p, weak_p), ps in groups_a.items()
+        for (strong_q, weak_q), qs in groups_b.items()
+        if strong_p <= weak_q and strong_q <= weak_p
+        for p in ps
+        for q in qs
+    }
     queue = deque(sorted(rel))
     queued = set(rel)
 
@@ -252,39 +296,8 @@ def _largest(
         x, y = pair
         requeue(strong_a[x], weak_b[y])
         requeue(weak_a[x], strong_b[y])
-    initial = (a.initial, b.initial)
-    if initial in rel:
-        outcome = CheckOutcome("equivalent")
-    else:
-        # Some move at the initial pair fails against the final relation;
-        # otherwise adding the pair would give a larger bisimulation.
-        outcome = CheckOutcome("not-equivalent", game.witness_for(rel, *initial))
-    return frozenset(rel), outcome
-
-
-def largest_fast_slow(
-    a: Lts, b: Lts, cfg: EquivConfig
-) -> tuple[Relation, CheckOutcome]:
-    """Greatest fast-slow bisimulation over the cross product of states.
-
-    Pairs with unequal weak slow move keys are never related; the rest
-    are checked from a worklist, and a pair failing either clause is
-    deleted and the pairs whose answers used it are checked again.  The
-    result is the unique greatest fixpoint, whatever the order.  The
-    outcome reports whether the two initial states remained related and,
-    if not, a challenger move at the initial pair that has no answer in
-    the returned relation.
-    """
-    return _largest(a, b, cfg, include_fast=True)
-
-
-def largest_slow(a: Lts, b: Lts, cfg: EquivConfig) -> tuple[Relation, CheckOutcome]:
-    """Greatest slow bisimulation; as largest_fast_slow without the fast clause.
-
-    The worklist starts from the pairs where the strong slow move keys of
-    each side are among the weak slow move keys of the other.
-    """
-    return _largest(a, b, cfg, include_fast=False)
+    rel = frozenset(rel)
+    return rel, _outcome(game, rel)
 
 
 def shared_fast_actions(

@@ -21,7 +21,6 @@ the same rows.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
@@ -334,6 +333,47 @@ def filter_label(label: CapabilityLabel, cfg: EquivConfig) -> CapabilityLabel:
     return CapabilityLabel(label.action, tuple(sorted(kept)))
 
 
+def _fast_sccs(succ: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The strongly connected component of every state under a step
+    relation, by an iterative Tarjan (1972).
+
+    Components are numbered in the order Tarjan emits them, sinks first:
+    a step out of a component enters one with a smaller number.
+    """
+    order = [-1] * len(succ)  # discovery number
+    low = [0] * len(succ)
+    scc = [-1] * len(succ)
+    stack: list[int] = []
+    found = count = 0
+    for root in range(len(succ)):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = found
+        found += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, steps = work[-1]
+            for w in steps:
+                if order[w] < 0:
+                    order[w] = low[w] = found
+                    found += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if scc[w] < 0 and order[w] < low[v]:  # w is still on the stack
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:  # v is the first member found
+                    while scc[v] < 0:
+                        scc[stack.pop()] = count
+                    count += 1
+    return scc
+
+
 class WeakViews:
     """Fast and slow projections of an Lts under an action partition.
 
@@ -341,8 +381,15 @@ class WeakViews:
     pair; ``fast_step_actions`` reads the action names off the Lts for
     diagnostics).  The slow strong view keeps the filtered label, which
     holds the action, and is keyed by it.  The weak slow view chains fast
-    closure around one slow step; closures and weak target sets are
-    memoised per state.
+    closure around one slow step.
+
+    States that reach each other by fast steps have the same fast closure
+    and the same weak slow moves, so both are computed once per fast
+    strongly connected component (SCC), and every member of an SCC gets
+    the same frozensets and dict.  ``scc`` maps each state to its SCC,
+    ``members`` each SCC to its states and ``reach`` each SCC to the SCCs
+    of its fast closure; ``weak_moves`` gives the weak slow moves of an
+    SCC as target SCCs.
     """
 
     def __init__(self, lts: Lts, cfg: EquivConfig):
@@ -362,8 +409,25 @@ class WeakViews:
                     slow[t.src].append(move)
         self._fast_succ = tuple(tuple(sorted(s)) for s in fast_succ)
         self._slow = tuple(tuple(moves) for moves in slow)
-        self._closure: dict[int, frozenset[int]] = {}
-        self._weak: dict[int, dict[CapabilityLabel, frozenset[int]]] = {}
+        self.scc = scc = _fast_sccs(self._fast_succ)
+        self.members: list[list[int]] = [[] for _ in range(max(scc, default=-1) + 1)]
+        for s, c in enumerate(scc):
+            self.members[c].append(s)
+        self.reach: list[frozenset[int]] = []
+        # strong slow moves of each SCC's members, as (label, target SCC)
+        self._slow_scc: list[set[tuple[CapabilityLabel, int]]] = []
+        for c, members in enumerate(self.members):
+            below = {scc[dst] for s in members for dst in self._fast_succ[s]} - {c}
+            self.reach.append(frozenset({c}.union(*(self.reach[d] for d in below))))
+            self._slow_scc.append({(label, scc[dst]) for s in members for label, dst in slow[s]})
+        n = len(self.members)
+        self._weak_scc: list[dict[CapabilityLabel, frozenset[int]] | None] = [None] * n
+        self._closure: list[frozenset[int] | None] = [None] * n
+        self._weak: list[dict[CapabilityLabel, frozenset[int]] | None] = [None] * n
+
+    def _states(self, sccs: frozenset[int]) -> frozenset[int]:
+        members = self.members
+        return frozenset(s for c in sccs for s in members[c])
 
     def fast_steps(self, state: int) -> tuple[int, ...]:
         return self._fast_succ[state]
@@ -374,32 +438,36 @@ class WeakViews:
         return tuple(sorted(actions & self.cfg.fast))
 
     def fast_closure(self, state: int) -> frozenset[int]:
-        cached = self._closure.get(state)
+        c = self.scc[state]
+        cached = self._closure[c]
         if cached is None:
-            seen = {state}
-            queue = deque((state,))
-            while queue:
-                s = queue.popleft()
-                for nxt in self._fast_succ[s]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-            cached = frozenset(seen)
-            self._closure[state] = cached
+            cached = self._closure[c] = self._states(self.reach[c])
         return cached
 
     def slow_strong(self, state: int) -> tuple[tuple[CapabilityLabel, int], ...]:
         return self._slow[state]
 
-    def weak_slow_moves(self, state: int) -> dict[CapabilityLabel, frozenset[int]]:
-        cached = self._weak.get(state)
+    def weak_moves(self, c: int) -> dict[CapabilityLabel, frozenset[int]]:
+        """The weak slow moves of SCC ``c``: filtered label -> target SCCs."""
+        cached = self._weak_scc[c]
         if cached is None:
-            targets: dict[CapabilityLabel, set[int]] = {}
-            for mid in self.fast_closure(state):
-                for label, dst in self._slow[mid]:
-                    targets.setdefault(label, set()).update(self.fast_closure(dst))
-            cached = {k: frozenset(v) for k, v in targets.items()}
-            self._weak[state] = cached
+            steps: dict[CapabilityLabel, set[int]] = {}
+            for mid in self.reach[c]:
+                for label, dst in self._slow_scc[mid]:
+                    steps.setdefault(label, set()).add(dst)
+            reach = self.reach
+            cached = self._weak_scc[c] = {
+                label: frozenset().union(*(reach[d] for d in dsts))
+                for label, dsts in steps.items()
+            }
+        return cached
+
+    def weak_slow_moves(self, state: int) -> dict[CapabilityLabel, frozenset[int]]:
+        c = self.scc[state]
+        cached = self._weak[c]
+        if cached is None:
+            moves = self.weak_moves(c).items()
+            cached = self._weak[c] = {label: self._states(t) for label, t in moves}
         return cached
 
     def weak_slow_targets(self, state: int, label: CapabilityLabel) -> frozenset[int]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 
 from fastslow import (
+    CapabilityLabel,
     EquivConfig,
     Leaf,
     Node,
@@ -22,7 +23,7 @@ from fastslow import (
     validate_system,
 )
 from fastslow.model import tree_leaves
-from fastslow.semantics import Lts
+from fastslow.semantics import Lts, Transition
 
 ROLES = [
     Role.REACTANT,
@@ -140,3 +141,76 @@ def random_case(case: int, seed: str = "fastslow-suite", sync_all: bool = True):
     delta = frozenset(s for s in species if rng.random() < 0.4)
     cfg = EquivConfig(fast=fast, slow=slow, delta=delta)
     return sys_a, lts_a, sys_b, lts_b, cfg
+
+
+# Fast steps are "f", slow steps "s" or "t"; labels have no entries.
+SCC_CONFIG = EquivConfig(fast=frozenset({"f"}), slow=frozenset({"s", "t"}))
+SCC_SHAPES = ("reversible", "cycle-exit", "chain", "silent")
+
+
+def hand_lts(n: int, edges) -> Lts:
+    """A transition system over the states (0,) .. (n-1,), initial (0,),
+    with one transition per distinct ``(src, action, dst)`` edge."""
+    transitions = tuple(
+        Transition(src, CapabilityLabel(action, ()), dst) for src, action, dst in sorted(set(edges))
+    )
+    return Lts(("X",), tuple((i,) for i in range(n)), 0, transitions)
+
+
+def random_scc_lts(rng: random.Random, shape: str) -> Lts:
+    """A small transition system under ``SCC_CONFIG`` whose fast steps form
+    large strongly connected components (SCCs), of one of four shapes:
+
+    - ``reversible``: every fast step has its reverse;
+    - ``cycle-exit``: a fast cycle with a slow step out of it to a state
+      whose fast step leads back into the cycle;
+    - ``chain``: fast cycles joined one after another by fast steps, so the
+      fast closure of the first runs through all the others;
+    - ``silent``: a fast cycle that no slow step leaves, entered by a slow
+      step.
+    """
+    def slow() -> str:
+        return rng.choice("st")
+
+    edges = []
+    if shape == "reversible":
+        n = rng.randint(2, 10)
+        for _ in range(rng.randint(1, 2 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            edges += [(u, "f", v), (v, "f", u)]
+        edges += [(rng.randrange(n), slow(), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+    elif shape == "cycle-exit":
+        k = rng.randint(2, 8)  # the cycle is 0 .. k-1, the exit state k
+        n = k + 1
+        edges += [(i, "f", (i + 1) % k) for i in range(k)]
+        edges += [(rng.randrange(k), slow(), k), (k, "f", rng.randrange(k))]
+        edges += [(rng.randrange(n), slow(), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
+    elif shape == "chain":
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(3, 5))]
+        starts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+        n = starts[-1]
+        for lo, hi in zip(starts, starts[1:]):
+            edges += [(i, "f", i + 1 if i + 1 < hi else lo) for i in range(lo, hi) if hi - lo > 1]
+            if hi < n:
+                edges.append((rng.randrange(lo, hi), "f", rng.randrange(hi, n)))
+        edges += [(rng.randrange(n), slow(), rng.randrange(n)) for _ in range(rng.randint(1, n))]
+    elif shape == "silent":
+        k = rng.randint(2, 6)  # the silent cycle is 1 .. k
+        n = k + rng.randint(1, 3)
+        edges += [(i, "f", i % k + 1) for i in range(1, k + 1)]
+        edges.append((0, slow(), rng.randint(1, k)))
+        outside = [0] + list(range(k + 1, n))
+        edges += [(rng.choice(outside), rng.choice("fst"), rng.randrange(n)) for _ in range(n)]
+    else:
+        raise ValueError(shape)
+    return hand_lts(n, edges)
+
+
+def permuted(lts: Lts, rng: random.Random) -> Lts:
+    """``lts`` with its state vectors shuffled: isomorphic to it, with
+    other state indices and another order of transitions."""
+    perm = list(range(lts.n_states))
+    rng.shuffle(perm)
+    edges = [(perm[t.src], t.label.action, perm[t.dst]) for t in lts.transitions]
+    moved = hand_lts(lts.n_states, edges)
+    return Lts(moved.species_order, moved.states, perm[lts.initial], moved.transitions)

@@ -27,6 +27,27 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_under_c_locale(tmp_path, *argv) -> subprocess.CompletedProcess:
+    """Run ``python -m fastslow.cli`` in ``tmp_path`` under the C locale,
+    on a one-species model ``u.bp`` whose species is named \u00c9 and its
+    configuration ``u.cfg``."""
+    (tmp_path / "u.bp").write_text(
+        "max \u00c9 = 2;\nspecies \u00c9 = (r,1) >> \u00c9;\nsystem = \u00c9[0];\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "u.cfg").write_text("slow: r\ndelta: \u00c9\n", encoding="utf-8")
+    env = dict(
+        os.environ,
+        LC_ALL="C",
+        PYTHONUTF8="0",
+        PYTHONCOERCECLOCALE="0",
+        PYTHONPATH=str(Path(fastslow.__file__).parents[1]),
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "fastslow.cli", *argv], cwd=tmp_path, env=env, capture_output=True
+    )
+
+
 def check_relation(fixtures, capsys, tmp_path, text, *extra):
     rel_path = tmp_path / "rel.json"
     rel_path.write_text(text)
@@ -136,28 +157,26 @@ class TestLtsCommand:
         assert code == 2
 
     def test_out_file_is_utf8_under_the_c_locale(self, tmp_path):
-        (tmp_path / "u.bp").write_text(
-            "max \u00c9 = 2;\nspecies \u00c9 = (r,1) >> \u00c9;\nsystem = \u00c9[0];\n",
-            encoding="utf-8",
-        )
-        (tmp_path / "u.cfg").write_text("slow: r\ndelta: \u00c9\n", encoding="utf-8")
-        env = dict(
-            os.environ,
-            LC_ALL="C",
-            PYTHONUTF8="0",
-            PYTHONCOERCECLOCALE="0",
-            PYTHONPATH=str(Path(fastslow.__file__).parents[1]),
-        )
-        argv = ["lts", "u.bp", "--format", "dot", "--config", "u.cfg", "--out", "u.dot"]
-        done = subprocess.run(
-            [sys.executable, "-m", "fastslow.cli", *argv],
-            cwd=tmp_path,
-            env=env,
-            capture_output=True,
+        done = run_under_c_locale(
+            tmp_path, "lts", "u.bp", "--format", "dot", "--config", "u.cfg", "--out", "u.dot"
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, b"3 states, 2 transitions\n", b"")
         dot = (tmp_path / "u.dot").read_text(encoding="utf-8")
         assert 'label="r; {\u00c9:>>(0,1)}"' in dot
+
+    def test_stdout_is_utf8_under_the_c_locale(self, tmp_path):
+        done = run_under_c_locale(tmp_path, "lts", "u.bp", "--format", "dot", "--config", "u.cfg")
+        assert (done.returncode, done.stderr) == (0, b"3 states, 2 transitions\n")
+        assert 'label="r; {\u00c9:>>(0,1)}"'.encode() in done.stdout
+        # a witness that names the species: the relation pairs level 0 with 1
+        (tmp_path / "r.json").write_text("[[[0], [1]]]\n")
+        done = run_under_c_locale(tmp_path, "check", "u.bp", "u.bp", "--config", "u.cfg", "--relation", "r.json")
+        assert (done.returncode, done.stderr) == (4, b"")
+        assert done.stdout.decode("utf-8").splitlines() == [
+            "verdict: relation-not-a-bisimulation",
+            "at pair ((0), (1)): left state (0) offers slow step (r, {\u00c9:>>(0,1)}) to (1) "
+            "with no matching weak move from the right state landing in the relation",
+        ]
 
     def test_unwritable_out_exits_2(self, fixtures, capsys, tmp_path):
         out_path = tmp_path / "missing" / "x.json"

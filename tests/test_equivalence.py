@@ -37,7 +37,7 @@ from oracles import (
     warshall_closure,
     weak_slow_oracle,
 )
-from randgen import random_case
+from randgen import SCC_CONFIG, SCC_SHAPES, permuted, random_case, random_scc_lts
 from systems import (
     burst_systems,
     inhibition_config,
@@ -229,6 +229,15 @@ class TestLargestAgainstSweepOracle:
     def test_burst_witness_unanswered(self):
         s1, s2, ctx, cfg = burst_systems()
         self.agree(build_lts(compose(s1, ctx)), build_lts(compose(s2, ctx)), cfg)
+
+    @pytest.mark.parametrize("shape", SCC_SHAPES)
+    def test_large_fast_sccs(self, shape):
+        # every third pair is isomorphic, so both verdicts occur
+        for case in range(60):
+            rng = random.Random(f"scc:{shape}:{case}")
+            a = random_scc_lts(rng, shape)
+            b = permuted(a, rng) if case % 3 == 0 else random_scc_lts(rng, shape)
+            self.agree(a, b, SCC_CONFIG)
 
 
 class TestSlowChecks:

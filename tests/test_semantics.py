@@ -32,7 +32,14 @@ from fastslow import (
     stoich_matrix,
 )
 from oracles import fast_edges, step_tree_oracle, warshall_closure, weak_slow_oracle
-from randgen import random_case, random_small_lts, random_system
+from randgen import (
+    SCC_CONFIG,
+    SCC_SHAPES,
+    random_case,
+    random_scc_lts,
+    random_small_lts,
+    random_system,
+)
 from systems import (
     burst_systems,
     inhibition_config,
@@ -395,17 +402,60 @@ class TestWeakViews:
                 slow=frozenset(actions) - fast,
                 delta=frozenset(lts.species_order[:1]),
             )
+            self.match_oracles(lts, cfg)
+
+    @staticmethod
+    def match_oracles(lts, cfg):
+        views = WeakViews(lts, cfg)
+        closure = warshall_closure(lts.n_states, fast_edges(lts, cfg))
+        for i in range(lts.n_states):
+            assert views.fast_closure(i) == frozenset(closure[i])
+        oracle = weak_slow_oracle(lts, cfg)
+        moves = {
+            (i, w.action, w): set(ts)
+            for i in range(lts.n_states)
+            for w, ts in views.weak_slow_moves(i).items()
+        }
+        assert moves == oracle
+
+    @pytest.mark.parametrize("shape", SCC_SHAPES)
+    def test_large_fast_sccs_match_oracle(self, shape):
+        for case in range(40):
+            self.match_oracles(random_scc_lts(random.Random(f"views:{shape}:{case}"), shape), SCC_CONFIG)
+
+    def test_members_of_an_scc_share_their_views(self):
+        # two states share an SCC exactly when each reaches the other by
+        # fast steps, and then they get the same closure and weak moves
+        systems = [(lts, cfg) for _, lts, _, _, cfg in map(random_case, range(100))]
+        systems += [
+            (random_scc_lts(random.Random(f"share:{shape}:{case}"), shape), SCC_CONFIG)
+            for shape in SCC_SHAPES
+            for case in range(25)
+        ]
+        for lts, cfg in systems:
             views = WeakViews(lts, cfg)
             closure = warshall_closure(lts.n_states, fast_edges(lts, cfg))
             for i in range(lts.n_states):
-                assert views.fast_closure(i) == frozenset(closure[i])
-            oracle = weak_slow_oracle(lts, cfg)
-            moves = {
-                (i, w.action, w): set(ts)
-                for i in range(lts.n_states)
-                for w, ts in views.weak_slow_moves(i).items()
-            }
-            assert moves == oracle
+                for j in range(lts.n_states):
+                    same = i in closure[j] and j in closure[i]
+                    assert (views.scc[i] == views.scc[j]) == same
+                    assert (views.fast_closure(i) is views.fast_closure(j)) == same
+                    if same:
+                        assert views.weak_slow_moves(i) is views.weak_slow_moves(j)
+
+    def test_deep_fast_chain_needs_no_recursion(self):
+        # 20,000 levels joined by reversible fast steps: one SCC, which a
+        # recursive depth-first search would enter 20,000 calls deep
+        spec = SpeciesDef(
+            "A", (Prefix("up", 1, Role.PRODUCT), Prefix("down", 1, Role.REACTANT)), 19_999
+        )
+        lts = build_lts(SystemDef((spec,), Leaf("A", 0)))
+        assert lts.n_states == 20_000
+        cfg = EquivConfig(fast=frozenset({"up", "down"}), slow=frozenset())
+        views = WeakViews(lts, cfg)
+        assert len(views.members) == 1
+        assert views.fast_closure(0) is views.fast_closure(19_999)
+        assert views.fast_closure(0) == frozenset(range(20_000))
 
 
 class TestExtensionIsomorphism:
