@@ -138,6 +138,8 @@ def _verdict_exit(outcome: equivalence.CheckOutcome, relation_supplied: bool) ->
 
 
 def cmd_check(args) -> int:
+    if args.emit_relation and (args.relation or args.mode == "shortcut"):
+        raise _InputError("--emit-relation cannot be combined with --relation or --mode shortcut")
     sys_a = _load(args.model_a, parser.parse_model)
     sys_b = _load(args.model_b, parser.parse_model)
     cfg = _load(args.config, parser.parse_config)

@@ -12,16 +12,17 @@ Within one system, fast-slow bisimilarity is weak bisimilarity with fast
 actions as silent steps, so the largest fast-slow bisimulation on the
 disjoint union of both systems is an equivalence: the strong
 bisimilarity of the saturated system (Milner, 1989).  It is found by
-signature refinement over the fast SCCs of both sides (Blom & Orzan,
-2003).  Partition refinement is not enough for slow bisimulation, whose
-largest relation need not be transitive.  It is the greatest fixpoint of
-deleting violating pairs, computed from a worklist (after Henzinger,
-Henzinger & Kopke, "Computing simulations on finite and infinite
-graphs", 1995) that starts from the pairs whose move keys are
-compatible; each deletion re-queues only the live pairs that could have
-answered a move through the deleted pair.  When the initial states end
-up unrelated, the witness is the first unanswered move at the initial
-pair against the final relation.
+signature refinement over the graph of the fast SCCs of both sides
+(Blom & Orzan, 2003), which needs the blocks that an SCC's fast closure
+reaches but never the closure itself.  Partition refinement is not
+enough for slow bisimulation, whose largest relation need not be
+transitive.  It is the greatest fixpoint of deleting violating pairs,
+computed from a worklist (after Henzinger, Henzinger & Kopke, "Computing
+simulations on finite and infinite graphs", 1995) that starts from the
+pairs whose move keys are compatible; each deletion re-queues only the
+live pairs that could have answered a move through the deleted pair.
+When the initial states end up unrelated, the witness is the first
+unanswered move at the initial pair against the final relation.
 """
 
 from __future__ import annotations
@@ -191,8 +192,9 @@ def _index(views: WeakViews) -> tuple[dict, list[set[int]], list[set[int]]]:
         for _, dst in slow:
             strong[dst].add(s)
     weak_scc: list[set[int]] = [set() for _ in views.members]
-    for c, members in enumerate(views.members):
-        for d in frozenset().union(*views.weak_moves(c).values()):
+    for members in views.members:
+        targets = frozenset().union(*views.weak_slow_moves(members[0]).values())
+        for d in {views.scc[t] for t in targets}:
             weak_scc[d].update(members)
     return groups, strong, [weak_scc[c] for c in views.scc]
 
@@ -215,41 +217,41 @@ def largest_fast_slow(
     silent steps, so the greatest one on the disjoint union of both
     systems is an equivalence.  It is found by signature refinement of
     the fast SCCs of both sides (Blom & Orzan, 2003), starting from one
-    block.  Each round gives an SCC the signature {block of d : d in its
-    fast closure} and {(label, block of d) : a weak slow move with that
-    filtered label reaches d}; each round refines the last, until the
-    number of blocks is stable.  The relation is every cross pair whose
-    SCCs share a block.  The outcome reports whether the two initial
-    states are related and, if not, a challenger move at the initial
-    pair that has no answer in the returned relation.
+    block.  Each round gives an SCC c the signature (closure(c), weak(c)),
+    read off the SCC graph sinks first, with no closure of states built.
+    closure(c) holds the block of c and closure(d) of each fast successor
+    d: the blocks of c's fast closure.  weak(c) holds (label, b) for each
+    strong slow move (label, d) of c and b in closure(d), and weak(d) of
+    each fast successor d: the (label, block) pairs of c's weak slow
+    moves.  Each round refines the last, until the number of blocks is
+    stable.  The relation is every cross pair whose SCCs share a block.
+    The outcome reports whether the two initial states are related and,
+    if not, a challenger move at the initial pair that has no answer in
+    the returned relation.
     """
     game = _Game(a, b, cfg, include_fast=True)
-    nodes = []  # (fast closure, weak slow moves) of every SCC, A's first
-    for views in (game.va, game.vb):
-        shift = len(nodes)
-        for c, reach in enumerate(views.reach):
-            moves = [(label, shift + d) for label, t in views.weak_moves(c).items() for d in t]
-            nodes.append(([shift + d for d in reach], moves))
-    block, count = [0] * len(nodes), 1
+    shift = len(game.va.members)
+    block, count = [0] * (shift + len(game.vb.members)), 1
     while True:
         ids: dict = {}
-        block = [
-            ids.setdefault(
-                (
-                    frozenset([block[d] for d in closure]),
-                    frozenset([(label, block[d]) for label, d in moves]),
-                ),
-                len(ids),
-            )
-            for closure, moves in nodes
-        ]
+        for views, base in ((game.va, 0), (game.vb, shift)):
+            # sinks first: the fast successors of c are numbered below c
+            closure: list[frozenset[int]] = []
+            for c, below in enumerate(views.scc_fast):
+                closure.append(frozenset([block[base + c]]).union(*(closure[d] for d in below)))
+            weak: list[frozenset] = []
+            for below, slow in zip(views.scc_fast, views.scc_slow):
+                moves = [(label, b) for label, d in slow for b in closure[d]]
+                weak.append(frozenset(moves).union(*(weak[d] for d in below)))
+            # each side reads only its own blocks, so it can renumber them now
+            signatures = zip(closure, weak)
+            block[base : base + len(weak)] = [ids.setdefault(s, len(ids)) for s in signatures]
         if len(ids) == count:
             break
         count = len(ids)
     side_a: dict[int, list[int]] = {}
     for p, c in enumerate(game.va.scc):
         side_a.setdefault(block[c], []).append(p)
-    shift = len(game.va.reach)
     rel = frozenset(
         (p, q) for q, c in enumerate(game.vb.scc) for p in side_a.get(block[shift + c], ())
     )

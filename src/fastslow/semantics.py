@@ -378,18 +378,18 @@ class WeakViews:
     """Fast and slow projections of an Lts under an action partition.
 
     The fast step relation drops labels entirely (one edge per state
-    pair; ``fast_step_actions`` reads the action names off the Lts for
-    diagnostics).  The slow strong view keeps the filtered label, which
+    pair; ``fast_step_actions``, for diagnostics only, reads the action
+    names off the Lts).  The slow strong view keeps the filtered label, which
     holds the action, and is keyed by it.  The weak slow view chains fast
     closure around one slow step.
 
-    States that reach each other by fast steps have the same fast closure
-    and the same weak slow moves, so both are computed once per fast
-    strongly connected component (SCC), and every member of an SCC gets
-    the same frozensets and dict.  ``scc`` maps each state to its SCC,
-    ``members`` each SCC to its states and ``reach`` each SCC to the SCCs
-    of its fast closure; ``weak_moves`` gives the weak slow moves of an
-    SCC as target SCCs.
+    Only the graph of the fast strongly connected components (SCCs) is
+    built up front: ``scc`` maps each state to its SCC, ``members`` each
+    SCC to its states, ``scc_fast[c]`` holds the SCCs one fast step out
+    of ``c`` (all numbered below ``c``) and ``scc_slow[c]`` the strong
+    slow moves of its members as (filtered label, target SCC).  Fast
+    closures and weak slow moves are built per SCC when first asked for,
+    by a walk of that graph, and every member gets the same objects.
     """
 
     def __init__(self, lts: Lts, cfg: EquivConfig):
@@ -413,21 +413,27 @@ class WeakViews:
         self.members: list[list[int]] = [[] for _ in range(max(scc, default=-1) + 1)]
         for s, c in enumerate(scc):
             self.members[c].append(s)
-        self.reach: list[frozenset[int]] = []
-        # strong slow moves of each SCC's members, as (label, target SCC)
-        self._slow_scc: list[set[tuple[CapabilityLabel, int]]] = []
-        for c, members in enumerate(self.members):
-            below = {scc[dst] for s in members for dst in self._fast_succ[s]} - {c}
-            self.reach.append(frozenset({c}.union(*(self.reach[d] for d in below))))
-            self._slow_scc.append({(label, scc[dst]) for s in members for label, dst in slow[s]})
+        self.scc_fast = [
+            frozenset(scc[dst] for s in members for dst in self._fast_succ[s]) - {c}
+            for c, members in enumerate(self.members)
+        ]
+        self.scc_slow = [
+            frozenset((label, scc[dst]) for s in members for label, dst in slow[s])
+            for members in self.members
+        ]
         n = len(self.members)
-        self._weak_scc: list[dict[CapabilityLabel, frozenset[int]] | None] = [None] * n
         self._closure: list[frozenset[int] | None] = [None] * n
         self._weak: list[dict[CapabilityLabel, frozenset[int]] | None] = [None] * n
 
-    def _states(self, sccs: frozenset[int]) -> frozenset[int]:
-        members = self.members
-        return frozenset(s for c in sccs for s in members[c])
+    def _below(self, starts: Iterable[int]) -> set[int]:
+        """The SCCs that fast steps reach from ``starts``, these included."""
+        seen, stack = set(starts), list(starts)
+        while stack:
+            for d in self.scc_fast[stack.pop()]:
+                if d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        return seen
 
     def fast_steps(self, state: int) -> tuple[int, ...]:
         return self._fast_succ[state]
@@ -441,33 +447,25 @@ class WeakViews:
         c = self.scc[state]
         cached = self._closure[c]
         if cached is None:
-            cached = self._closure[c] = self._states(self.reach[c])
+            below = self._below((c,))
+            cached = self._closure[c] = frozenset(s for d in below for s in self.members[d])
         return cached
 
     def slow_strong(self, state: int) -> tuple[tuple[CapabilityLabel, int], ...]:
         return self._slow[state]
 
-    def weak_moves(self, c: int) -> dict[CapabilityLabel, frozenset[int]]:
-        """The weak slow moves of SCC ``c``: filtered label -> target SCCs."""
-        cached = self._weak_scc[c]
-        if cached is None:
-            steps: dict[CapabilityLabel, set[int]] = {}
-            for mid in self.reach[c]:
-                for label, dst in self._slow_scc[mid]:
-                    steps.setdefault(label, set()).add(dst)
-            reach = self.reach
-            cached = self._weak_scc[c] = {
-                label: frozenset().union(*(reach[d] for d in dsts))
-                for label, dsts in steps.items()
-            }
-        return cached
-
     def weak_slow_moves(self, state: int) -> dict[CapabilityLabel, frozenset[int]]:
         c = self.scc[state]
         cached = self._weak[c]
         if cached is None:
-            moves = self.weak_moves(c).items()
-            cached = self._weak[c] = {label: self._states(t) for label, t in moves}
+            steps: dict[CapabilityLabel, set[int]] = {}
+            for mid in self._below((c,)):
+                for label, d in self.scc_slow[mid]:
+                    steps.setdefault(label, set()).add(d)
+            cached = self._weak[c] = {
+                label: frozenset(s for d in self._below(dsts) for s in self.members[d])
+                for label, dsts in steps.items()
+            }
         return cached
 
     def weak_slow_targets(self, state: int, label: CapabilityLabel) -> frozenset[int]:

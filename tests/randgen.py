@@ -145,7 +145,7 @@ def random_case(case: int, seed: str = "fastslow-suite", sync_all: bool = True):
 
 # Fast steps are "f", slow steps "s" or "t"; labels have no entries.
 SCC_CONFIG = EquivConfig(fast=frozenset({"f"}), slow=frozenset({"s", "t"}))
-SCC_SHAPES = ("reversible", "cycle-exit", "chain", "silent")
+SCC_SHAPES = ("reversible", "cycle-exit", "chain", "silent", "dag")
 
 
 def hand_lts(n: int, edges) -> Lts:
@@ -159,7 +159,7 @@ def hand_lts(n: int, edges) -> Lts:
 
 def random_scc_lts(rng: random.Random, shape: str) -> Lts:
     """A small transition system under ``SCC_CONFIG`` whose fast steps form
-    large strongly connected components (SCCs), of one of four shapes:
+    large strongly connected components (SCCs), of one of five shapes:
 
     - ``reversible``: every fast step has its reverse;
     - ``cycle-exit``: a fast cycle with a slow step out of it to a state
@@ -167,7 +167,10 @@ def random_scc_lts(rng: random.Random, shape: str) -> Lts:
     - ``chain``: fast cycles joined one after another by fast steps, so the
       fast closure of the first runs through all the others;
     - ``silent``: a fast cycle that no slow step leaves, entered by a slow
-      step.
+      step;
+    - ``dag``: small fast cycles, each but the last with fast steps into
+      two later ones, so that the SCCs one fast step apart share the
+      SCCs below them.
     """
     def slow() -> str:
         return rng.choice("st")
@@ -201,6 +204,17 @@ def random_scc_lts(rng: random.Random, shape: str) -> Lts:
         edges.append((0, slow(), rng.randint(1, k)))
         outside = [0] + list(range(k + 1, n))
         edges += [(rng.choice(outside), rng.choice("fst"), rng.randrange(n)) for _ in range(n)]
+    elif shape == "dag":
+        sizes = [rng.randint(1, 2) for _ in range(rng.randint(4, 6))]
+        starts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+        n = starts[-1]
+        for i, (lo, hi) in enumerate(zip(starts, starts[1:])):
+            if hi - lo > 1:
+                edges += [(lo, "f", lo + 1), (lo + 1, "f", lo)]
+            # every SCC reaches the last one, so the two successors share it
+            for j in rng.sample(range(i + 1, len(sizes)), min(2, len(sizes) - i - 1)):
+                edges.append((rng.randrange(lo, hi), "f", rng.randrange(starts[j], starts[j + 1])))
+        edges += [(rng.randrange(n), slow(), rng.randrange(n)) for _ in range(rng.randint(1, n))]
     else:
         raise ValueError(shape)
     return hand_lts(n, edges)

@@ -442,6 +442,41 @@ class TestCheckCommand:
         assert err == f"{rel_path}: No such file or directory\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "model, mode, supplied",
+        [
+            ("inhibition_full.bp", "fast-slow", True),
+            ("inhibition_full.bp", "slow", True),
+            ("inhibition_full.bp", "shortcut", True),
+            ("inhibition_full.bp", "shortcut", False),
+            ("missing.bp", "fast-slow", True),
+        ],
+    )
+    def test_emit_relation_where_none_is_computed_exits_2(
+        self, fixtures, capsys, tmp_path, model, mode, supplied
+    ):
+        # only a computed largest relation can be emitted; the refusal
+        # comes before any model is read, so a missing one goes unnoticed
+        rel_path, out_path = tmp_path / "rel.json", tmp_path / "out.json"
+        pairs = [[list(a), list(b)] for a, b in inhibition_relation(5, 3, 0)]
+        rel_path.write_text(json.dumps(pairs))
+        code, out, err = run(
+            capsys,
+            "check",
+            fixtures / model,
+            fixtures / "inhibition_reduced.bp",
+            "--config",
+            fixtures / "inhibition.cfg",
+            *(["--relation", rel_path] if supplied else []),
+            "--mode",
+            mode,
+            "--emit-relation",
+            out_path,
+        )
+        assert (code, out) == (2, "")
+        assert err == "--emit-relation cannot be combined with --relation or --mode shortcut\n"
+        assert not out_path.exists()
+
     def test_json_deterministic(self, fixtures, capsys):
         args = (
             "check",

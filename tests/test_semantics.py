@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -456,6 +457,21 @@ class TestWeakViews:
         assert len(views.members) == 1
         assert views.fast_closure(0) is views.fast_closure(19_999)
         assert views.fast_closure(0) == frozenset(range(20_000))
+
+    def test_long_irreversible_fast_chain_builds_one_closure(self):
+        # 3,001 levels joined by one-way fast steps: 3,001 singleton SCCs
+        # in a path, whose closures built up front would take 200 MB
+        spec = SpeciesDef("A", (Prefix("up", 1, Role.PRODUCT),), 3000)
+        lts = build_lts(SystemDef((spec,), Leaf("A", 0)))
+        cfg = EquivConfig(fast=frozenset({"up"}), slow=frozenset())
+        tracemalloc.start()
+        try:
+            closure = WeakViews(lts, cfg).fast_closure(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert closure == frozenset(range(3001))
+        assert peak < 20 * 2**20
 
 
 class TestExtensionIsomorphism:
