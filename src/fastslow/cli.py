@@ -129,12 +129,11 @@ def cmd_lts(args) -> int:
     return EXIT_OK
 
 
-def _verdict_exit(outcome: equivalence.CheckOutcome, relation_supplied: bool) -> int:
-    if outcome.verdict == "equivalent":
-        return EXIT_OK
-    if outcome.verdict == "relation-not-a-bisimulation":
-        return EXIT_BAD_RELATION if relation_supplied else EXIT_NOT_EQUIVALENT
-    return EXIT_NOT_EQUIVALENT
+_VERDICT_EXIT = {
+    "equivalent": EXIT_OK,
+    "not-equivalent": EXIT_NOT_EQUIVALENT,
+    "relation-not-a-bisimulation": EXIT_BAD_RELATION,
+}
 
 
 def cmd_check(args) -> int:
@@ -165,7 +164,7 @@ def cmd_check(args) -> int:
             witness=outcome.witness.describe() if outcome.witness else None,
         )
         _emit(args, report, [f"verdict: {outcome.describe()}"])
-        return _verdict_exit(outcome, relation_supplied=True)
+        return _VERDICT_EXIT[outcome.verdict]
 
     lts_a = semantics.build_lts(sys_a, max_states=args.max_states)
     lts_b = semantics.build_lts(sys_b, max_states=args.max_states)
@@ -214,7 +213,7 @@ def cmd_check(args) -> int:
     if outcome.witness is not None:
         human.append(outcome.witness.describe())
     _emit(args, report, human)
-    return _verdict_exit(outcome, relation_supplied=bool(args.relation))
+    return _VERDICT_EXIT[outcome.verdict]
 
 
 def cmd_classify(args) -> int:

@@ -16,19 +16,19 @@ signature refinement over the graph of the fast SCCs of both sides
 (Blom & Orzan, 2003), which needs the blocks that an SCC's fast closure
 reaches but never the closure itself.  Partition refinement is not
 enough for slow bisimulation, whose largest relation need not be
-transitive.  It is the greatest fixpoint of deleting violating pairs,
-computed from a worklist (after Henzinger, Henzinger & Kopke, "Computing
-simulations on finite and infinite graphs", 1995) that starts from the
-pairs whose move keys are compatible; each deletion re-queues only the
-live pairs that could have answered a move through the deleted pair.
-When the initial states end up unrelated, the witness is the first
-unanswered move at the initial pair against the final relation.
+transitive.  It is the greatest fixpoint of deleting violating pairs
+from those whose move keys are compatible, held as rows and columns so
+that each clause is one set-disjointness test.  A worklist of states
+re-checks a row after a deletion that could change an answer it used
+(after Henzinger, Henzinger & Kopke, "Computing simulations on finite
+and infinite graphs", 1995).  When the initial states end up unrelated,
+the witness is the first unanswered move at the initial pair against
+the final relation.
 """
 
 from __future__ import annotations
 
 import reprlib
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -105,8 +105,13 @@ class CheckOutcome:
         return f"{self.verdict}: {self.witness.describe()}"
 
 
+_NONE: frozenset[int] = frozenset()
+
+
 class _Game:
-    """Matching game over one ordered pair of transition systems."""
+    """Matching game over one ordered pair of transition systems, played
+    on a relation held as rows (``rows[p]``: the second-system states
+    related to ``p``) and columns (the converse) of the related states."""
 
     def __init__(self, a: Lts, b: Lts, cfg: EquivConfig, include_fast: bool):
         self.a = a
@@ -115,33 +120,49 @@ class _Game:
         self.vb = WeakViews(b, cfg)
         self.include_fast = include_fast
 
-    def witness_for(self, rel, p: int, q: int) -> Witness | None:
+    def witness_for(self, rows: dict, cols: dict, p: int, q: int) -> Witness | None:
         """First unanswered challenger move at (p, q), or None.
 
-        Slow challenges are tried before fast ones in both directions so
+        A challenger move into x is answered when x's row (or column)
+        meets the defender's weak slow targets (or fast closure).  Slow
+        challenges are tried before fast ones in both directions so
         witnesses name the more informative labelled move when several
         clauses fail at once.
         """
         a_states, b_states = self.a.states, self.b.states
         states = (a_states[p], b_states[q])
         for label, p2 in self.va.slow_strong(p):
-            targets = self.vb.weak_slow_targets(q, label)
-            if not any((p2, q2) in rel for q2 in targets):
+            if rows.get(p2, _NONE).isdisjoint(self.vb.weak_slow_targets(q, label)):
                 return Witness(states, "left", "slow", label.action, label, a_states[p2])
         for label, q2 in self.vb.slow_strong(q):
-            targets = self.va.weak_slow_targets(p, label)
-            if not any((p2, q2) in rel for p2 in targets):
+            if cols.get(q2, _NONE).isdisjoint(self.va.weak_slow_targets(p, label)):
                 return Witness(states, "right", "slow", label.action, label, b_states[q2])
         if self.include_fast:
             for p2 in self.va.fast_steps(p):
-                closure = self.vb.fast_closure(q)
-                if not any((p2, q2) in rel for q2 in closure):
+                if rows.get(p2, _NONE).isdisjoint(self.vb.fast_closure(q)):
                     return Witness(states, "left", "fast", None, None, a_states[p2])
             for q2 in self.vb.fast_steps(q):
-                closure = self.va.fast_closure(p)
-                if not any((p2, q2) in rel for p2 in closure):
+                if cols.get(q2, _NONE).isdisjoint(self.va.fast_closure(p)):
                     return Witness(states, "right", "fast", None, None, b_states[q2])
         return None
+
+
+def _outcome(game: _Game, rows: dict, cols: dict, checked=None) -> CheckOutcome:
+    """The verdict on the relation in ``rows`` and ``cols``: a candidate
+    fails at the first of the ``checked`` pairs with an unanswered move.
+    Without ``checked`` it is the largest bisimulation.  If it leaves the
+    initial pair out, some move there fails against it; otherwise adding
+    the pair would give a larger bisimulation."""
+    verdict = "relation-not-a-bisimulation"
+    if checked is None:
+        verdict = "not-equivalent"
+        p, q = game.a.initial, game.b.initial
+        checked = () if q in rows.get(p, _NONE) else ((p, q),)
+    for p, q in checked:
+        witness = game.witness_for(rows, cols, p, q)
+        if witness is not None:
+            return CheckOutcome(verdict, witness)
+    return CheckOutcome("equivalent")
 
 
 def _check_relation(
@@ -149,15 +170,14 @@ def _check_relation(
 ) -> CheckOutcome:
     if not rel:
         raise EquivalenceError("empty-relation")
+    rows: dict[int, set[int]] = {}
+    cols: dict[int, set[int]] = {}
     for p, q in rel:
         if not (0 <= p < a.n_states and 0 <= q < b.n_states):
             raise EquivalenceError(f"index-out-of-range(({p},{q}))")
-    game = _Game(a, b, cfg, include_fast)
-    for p, q in sorted(rel):
-        witness = game.witness_for(rel, p, q)
-        if witness is not None:
-            return CheckOutcome("relation-not-a-bisimulation", witness)
-    return CheckOutcome("equivalent")
+        rows.setdefault(p, set()).add(q)
+        cols.setdefault(q, set()).add(p)
+    return _outcome(_Game(a, b, cfg, include_fast), rows, cols, sorted(rel))
 
 
 def check_fast_slow_relation(
@@ -174,38 +194,39 @@ def check_slow_relation(
     return _check_relation(rel, a, b, cfg, include_fast=False)
 
 
-def _index(views: WeakViews) -> tuple[dict, list[set[int]], list[set[int]]]:
-    """Move-key groups and predecessor sets of the states of one side.
+def _index(game: _Game) -> tuple[dict, dict, list[set[int]]]:
+    """The initial rows and columns of the slow game, and the weak slow
+    predecessors of the first system's states.
 
-    States are grouped by (strong slow keys, weak slow keys), a key being
-    a filtered label.  The strong predecessors of x are the states with
-    a slow step into x; the weak predecessors are the states with a weak
-    slow target x.  Weak targets are unions of fast closures, which hold
-    whole SCCs, so the members of an SCC share one weak-predecessor set.
+    A pair starts related when each strong slow key (a filtered label) of
+    one state is a weak slow key of the other; states are grouped by both
+    key sets.  The weak predecessors of x are the states with a weak slow
+    target x, so also those with a slow step into x; weak targets hold
+    whole fast SCCs, so the members of an SCC share one set.
     """
-    groups: dict[tuple[frozenset, frozenset], list[int]] = {}
-    strong: list[set[int]] = [set() for _ in views.scc]
-    for s in range(len(views.scc)):
-        slow = views.slow_strong(s)
-        strong_keys = frozenset(label for label, _ in slow)
-        groups.setdefault((strong_keys, frozenset(views.weak_slow_moves(s))), []).append(s)
-        for _, dst in slow:
-            strong[dst].add(s)
-    weak_scc: list[set[int]] = [set() for _ in views.members]
+    groups = []
+    for views in (game.va, game.vb):
+        keys: dict[tuple[frozenset, frozenset], list[int]] = {}
+        for s in range(len(views.scc)):
+            strong = frozenset(label for label, _ in views.slow_strong(s))
+            keys.setdefault((strong, frozenset(views.weak_slow_moves(s))), []).append(s)
+        groups.append(keys)
+    rows: dict[int, set[int]] = {}
+    cols: dict[int, set[int]] = {}
+    for (strong_p, weak_p), ps in groups[0].items():
+        for (strong_q, weak_q), qs in groups[1].items():
+            if strong_p <= weak_q and strong_q <= weak_p:
+                for p in ps:
+                    rows.setdefault(p, set()).update(qs)
+                for q in qs:
+                    cols.setdefault(q, set()).update(ps)
+    views = game.va
+    preds: list[set[int]] = [set() for _ in views.members]
     for members in views.members:
         targets = frozenset().union(*views.weak_slow_moves(members[0]).values())
         for d in {views.scc[t] for t in targets}:
-            weak_scc[d].update(members)
-    return groups, strong, [weak_scc[c] for c in views.scc]
-
-
-def _outcome(game: _Game, rel: Relation) -> CheckOutcome:
-    initial = (game.a.initial, game.b.initial)
-    if initial in rel:
-        return CheckOutcome("equivalent")
-    # Some move at the initial pair fails against the final relation;
-    # otherwise adding the pair would give a larger bisimulation.
-    return CheckOutcome("not-equivalent", game.witness_for(rel, *initial))
+            preds[d].update(members)
+    return rows, cols, [preds[c] for c in views.scc]
 
 
 def largest_fast_slow(
@@ -249,57 +270,42 @@ def largest_fast_slow(
         if len(ids) == count:
             break
         count = len(ids)
-    side_a: dict[int, list[int]] = {}
-    for p, c in enumerate(game.va.scc):
-        side_a.setdefault(block[c], []).append(p)
-    rel = frozenset(
-        (p, q) for q, c in enumerate(game.vb.scc) for p in side_a.get(block[shift + c], ())
-    )
-    return rel, _outcome(game, rel)
+    # the members of a block share one row (or column): the states of the
+    # other side in that block
+    in_a: dict[int, set[int]] = {}
+    in_b: dict[int, set[int]] = {}
+    for side, views, base in ((in_a, game.va, 0), (in_b, game.vb, shift)):
+        for s, c in enumerate(views.scc):
+            side.setdefault(block[base + c], set()).add(s)
+    rows = {p: in_b[k] for k, ps in in_a.items() if k in in_b for p in ps}
+    cols = {q: in_a[k] for k, qs in in_b.items() if k in in_a for q in qs}
+    rel = frozenset((p, q) for p, row in rows.items() for q in row)
+    return rel, _outcome(game, rows, cols)
 
 
 def largest_slow(a: Lts, b: Lts, cfg: EquivConfig) -> tuple[Relation, CheckOutcome]:
     """Greatest slow bisimulation; as largest_fast_slow without the fast clause.
 
-    A pair failing a clause is deleted and the pairs whose answers used
-    it are checked again; the result is the unique greatest fixpoint.
+    A worklist holds first-system states.  Popping p deletes the pairs
+    of row p that fail a clause; if any did, it re-queues p's weak slow
+    predecessors, the only states whose checks read row p or a column
+    that lost p.  The result is the unique greatest fixpoint.
     """
     game = _Game(a, b, cfg, include_fast=False)
-    groups_a, strong_a, weak_a = _index(game.va)
-    groups_b, strong_b, weak_b = _index(game.vb)
-    # each strong move key of one side must be a weak move key of the other
-    rel = {
-        (p, q)
-        for (strong_p, weak_p), ps in groups_a.items()
-        for (strong_q, weak_q), qs in groups_b.items()
-        if strong_p <= weak_q and strong_q <= weak_p
-        for p in ps
-        for q in qs
-    }
-    queue = deque(sorted(rel))
-    queued = set(rel)
-
-    def requeue(lefts, rights):
-        for p in lefts:
-            for q in rights:
-                pair = (p, q)
-                if pair in rel and pair not in queued:
-                    queued.add(pair)
-                    queue.append(pair)
-
-    while queue:
-        pair = queue.popleft()
-        queued.discard(pair)
-        if game.witness_for(rel, *pair) is None:
-            continue
-        # The answers of (p, q) that used (x, y) were a challenger move
-        # into x against a defender answer landing in y, or the mirror.
-        rel.discard(pair)
-        x, y = pair
-        requeue(strong_a[x], weak_b[y])
-        requeue(weak_a[x], strong_b[y])
-    rel = frozenset(rel)
-    return rel, _outcome(game, rel)
+    rows, cols, preds = _index(game)
+    work = set(rows)
+    while work:
+        p = work.pop()
+        failing = [q for q in rows.get(p, ()) if game.witness_for(rows, cols, p, q)]
+        if failing:
+            rows[p].difference_update(failing)
+            for q in failing:
+                cols[q].discard(p)
+            work.update(preds[p])
+    outcome = _outcome(game, rows, cols)
+    # the columns go first, and each row as soon as its pairs are taken
+    del cols
+    return frozenset((p, q) for p in list(rows) for q in rows.pop(p)), outcome
 
 
 def shared_fast_actions(

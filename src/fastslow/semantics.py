@@ -109,11 +109,7 @@ class Lts:
         index = {s: i for i, s in enumerate(self.states)}
         if len(index) != len(self.states):
             raise ValueError("duplicate states in transition system")
-        out: list[list[Transition]] = [[] for _ in self.states]
-        for t in self.transitions:
-            out[t.src].append(t)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_out", tuple(tuple(o) for o in out))
 
     @property
     def n_states(self) -> int:
@@ -129,9 +125,6 @@ class Lts:
         if idx is None:
             raise KeyError(f"state {key} is not reachable in this system")
         return idx
-
-    def outgoing(self, src: int) -> tuple[Transition, ...]:
-        return self._out[src]  # type: ignore[attr-defined]
 
     def actions(self) -> frozenset[str]:
         return frozenset(t.label.action for t in self.transitions)
@@ -439,8 +432,10 @@ class WeakViews:
         return self._fast_succ[state]
 
     def fast_step_actions(self, src: int, dst: int) -> tuple[str, ...]:
-        """The fast actions of the steps from ``src`` to ``dst``, sorted."""
-        actions = {t.label.action for t in self.lts.outgoing(src) if t.dst == dst}
+        """The fast actions of the steps from ``src`` to ``dst``, sorted;
+        a scan of every transition, for diagnostics."""
+        steps = self.lts.transitions
+        actions = {t.label.action for t in steps if t.src == src and t.dst == dst}
         return tuple(sorted(actions & self.cfg.fast))
 
     def fast_closure(self, state: int) -> frozenset[int]:

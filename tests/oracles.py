@@ -239,7 +239,9 @@ def strong_bisim_oracle(lts: Lts) -> set[tuple[int, int]]:
     """Largest strong bisimulation over full capability labels, by the
     straightforward delete-violating-pairs fixpoint."""
     n = lts.n_states
-    moves = [[(t.label, t.dst) for t in lts.outgoing(i)] for i in range(n)]
+    moves: list[list] = [[] for _ in range(n)]
+    for t in lts.transitions:
+        moves[t.src].append((t.label, t.dst))
 
     def matched(rel, src_moves, dst_moves, flip):
         for label, d1 in src_moves:
@@ -267,14 +269,10 @@ def strong_bisim_oracle(lts: Lts) -> set[tuple[int, int]]:
     return rel
 
 
-def largest_sweep_oracle(
-    a: Lts, b: Lts, cfg: EquivConfig, include_fast: bool
-) -> set[tuple[int, int]]:
-    """Largest fast-slow (``include_fast``) or slow bisimulation between
-    ``a`` and ``b``: start from the full cross product and sweep it,
-    deleting every pair where some strong move of one side (slow, or
-    fast when ``include_fast``) has no weak answer of the other side
-    landing in the relation, until a sweep deletes nothing."""
+def violation_oracle(a: Lts, b: Lts, cfg: EquivConfig, include_fast: bool):
+    """``violated(rel, p, q)`` for the pairs of ``a`` and ``b``: whether
+    some strong move of one side (slow, or fast when ``include_fast``)
+    has no weak answer of the other side landing in ``rel``."""
 
     def moves(lts: Lts):
         fast = fast_edges(lts, cfg)
@@ -303,6 +301,17 @@ def largest_sweep_oracle(
                 return True
         return False
 
+    return violated
+
+
+def largest_sweep_oracle(
+    a: Lts, b: Lts, cfg: EquivConfig, include_fast: bool
+) -> set[tuple[int, int]]:
+    """Largest fast-slow (``include_fast``) or slow bisimulation between
+    ``a`` and ``b``: start from the full cross product and sweep it,
+    deleting every violated pair (``violation_oracle``) until a sweep
+    deletes nothing."""
+    violated = violation_oracle(a, b, cfg, include_fast)
     rel = {(p, q) for p in range(a.n_states) for q in range(b.n_states)}
     changed = True
     while changed:

@@ -34,6 +34,7 @@ from oracles import (
     fast_edges,
     largest_sweep_oracle,
     swapped,
+    violation_oracle,
     warshall_closure,
     weak_slow_oracle,
 )
@@ -238,6 +239,42 @@ class TestLargestAgainstSweepOracle:
             a = random_scc_lts(rng, shape)
             b = permuted(a, rng) if case % 3 == 0 else random_scc_lts(rng, shape)
             self.agree(a, b, SCC_CONFIG)
+
+
+class TestCheckAgainstViolationOracle:
+    """Relation verification against the oracle's clause check, on a
+    seeded random subset of the cross product and on the oracle's largest
+    relation: the verdict is equivalent exactly when no pair is violated,
+    and otherwise the witness is a real unanswered move at the first
+    violated pair in sorted order."""
+
+    @pytest.mark.parametrize(
+        "include_fast, check",
+        [(True, check_fast_slow_relation), (False, check_slow_relation)],
+        ids=["fast-slow", "slow"],
+    )
+    def test_random_relations(self, include_fast, check):
+        verdicts = set()
+        for case in range(500):
+            _, a, _, b, cfg = random_case(case, seed="check-oracle", sync_all=case % 2 == 0)
+            rng = random.Random(f"check-oracle:{case}")
+            cross = [(p, q) for p in range(a.n_states) for q in range(b.n_states)]
+            density = rng.choice((0.2, 0.5, 0.9))
+            subset = frozenset(pair for pair in cross if rng.random() < density)
+            largest = frozenset(largest_sweep_oracle(a, b, cfg, include_fast))
+            violated = violation_oracle(a, b, cfg, include_fast)
+            for rel in (subset or frozenset([rng.choice(cross)]), largest):
+                if not rel:
+                    continue
+                outcome = check(rel, a, b, cfg)
+                verdicts.add(outcome.verdict)
+                first = next((pair for pair in sorted(rel) if violated(rel, *pair)), None)
+                assert outcome.equivalent == (first is None)
+                if first is not None:
+                    assert outcome.verdict == "relation-not-a-bisimulation"
+                    assert outcome.witness.pair == (a.states[first[0]], b.states[first[1]])
+                    assert_witness_unanswered(outcome.witness, rel, a, b, cfg)
+        assert verdicts == {"equivalent", "relation-not-a-bisimulation"}
 
 
 class TestSlowChecks:

@@ -217,7 +217,7 @@ class TestStepAgainstTreeOracle:
             for label, _ in got:
                 assert list(label.entries) == sorted(label.entries, key=entry_key)
             assert got == sorted(got, key=lambda move: (move[1], label_key(move[0])))
-            out = [(t.label, lts.states[t.dst]) for t in lts.outgoing(i)]
+            out = [(t.label, lts.states[t.dst]) for t in lts.transitions if t.src == i]
             assert len(out) == len(expected)
             assert set(out) == set(expected)
             keys = [label_key(label) for label, _ in out]
