@@ -12,18 +12,28 @@ merged.
 Each model is compiled once into a table with one row per reaction
 instance: an action together with the leaves that fire it jointly, each
 with its state index, the levels ``lo..hi`` at which it can take part,
-its level delta and its label fields.  The rows come from one walk of
-the cooperation tree, since each species offers at most one prefix per
-action.  A step checks every row's guards against the state and fires
-the rows that pass; the stoichiometry matrix in ``classification`` reads
-the same rows.
+and its level delta.  The rows come from one walk of the cooperation
+tree, since each species offers at most one prefix per action.  A step
+checks every row's guards against the state and fires the rows that
+pass; the stoichiometry matrix in ``classification`` reads the same rows.
+
+A transition costs one label, so the table keeps what labels are made
+of.  Each row interns its participants' entries by level and its labels
+by the participants' levels, filling both on first use: a build makes
+one ``LabelEntry`` per row, participant and level that occurs, and
+nothing is allocated over a species' whole level range.  The rows are
+kept in label order, so a step yields its moves already sorted.  That
+order does not depend on the state: each species offers at most one
+prefix per action, so two rows of one action that share a species give
+it equal entries at any one state, and their labels compare as their
+participants' names do.  Rows therefore sort once by action and names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .model import (
@@ -40,6 +50,10 @@ from .model import (
 )
 
 DEFAULT_STATE_CAP = 1_000_000
+
+# A named tuple's generated ``__new__`` is a Python call; ``tuple.__new__``
+# makes the same object without it, once per label and per transition.
+_tuple_new = tuple.__new__
 
 State = tuple[int, ...]
 
@@ -130,6 +144,39 @@ class Lts:
         return frozenset(t.label.action for t in self.transitions)
 
 
+class _Entries(dict):
+    """One participant's label entries by level, each made on first use."""
+
+    __slots__ = ("species", "role", "stoich")
+
+    def __init__(self, species: str, role: Role, stoich: int):
+        super().__init__()
+        self.species, self.role, self.stoich = species, role, stoich
+
+    def __missing__(self, level: int) -> LabelEntry:
+        entry = self[level] = LabelEntry(self.species, self.role, level, self.stoich)
+        return entry
+
+
+class _Labels(dict):
+    """One row's labels by participant levels, each made on first use
+    from the participants' interned entries.  A row with one participant
+    keys its labels by that participant's level alone."""
+
+    __slots__ = ("action", "entries", "single")
+
+    def __init__(self, action: str, entries: tuple[_Entries, ...]):
+        super().__init__()
+        self.action, self.entries, self.single = action, entries, len(entries) == 1
+
+    def __missing__(self, key) -> CapabilityLabel:
+        levels = (key,) if self.single else key
+        label = self[key] = _tuple_new(
+            CapabilityLabel, (self.action, tuple(map(getitem, self.entries, levels)))
+        )
+        return label
+
+
 class _Row(NamedTuple):
     """One reaction instance: an action and the leaves that all take part.
 
@@ -140,9 +187,8 @@ class _Row(NamedTuple):
     action: str
     guards: tuple[tuple[int, int, int], ...]  # (state index, lo, hi)
     changes: tuple[tuple[int, int], ...]  # (state index, level delta), deltas != 0
-    levels: Callable[[State], object]  # participant levels, the label cache key
-    fields: tuple[tuple[str, Role, int], ...]  # (species, role, stoich)
-    labels: dict[object, CapabilityLabel]  # participant levels -> label
+    levels: Callable[[State], object]  # participant levels, the label key
+    labels: _Labels
 
 
 def _instances(
@@ -191,17 +237,6 @@ def _guard(role: Role, stoich: int, limit: int) -> tuple[int, int]:
     return 0, limit  # inhibitor or generic modifier
 
 
-def _label(
-    action: str, fields: tuple[tuple[str, Role, int], ...], levels: tuple[int, ...]
-) -> CapabilityLabel:
-    """A row's label at the given participant levels."""
-    entries = (
-        LabelEntry(species, role, level, stoich)
-        for (species, role, stoich), level in zip(fields, levels)
-    )
-    return CapabilityLabel(action, tuple(entries))
-
-
 class _Compiled:
     """The reaction-instance table of one model, built once.
 
@@ -209,8 +244,12 @@ class _Compiled:
     cooperation tree by ``_instances``.  Each species has at most one
     prefix per action, so the instances do not depend on the state:
     stepping checks every row's guards against the levels and fires the
-    rows that pass.  Labels are interned per row by the participants'
-    levels.
+    rows that pass.  Each row interns its participants' label entries by
+    level and its labels by the participants' levels, on first use, so
+    a label costs one dict lookup once made and an entry is never made
+    twice.  The rows are sorted by action and participant names, which
+    at any one state is the order of their labels (see the module
+    docstring), so ``moves`` comes out in label order.
     """
 
     def __init__(self, sys: SystemDef):
@@ -233,39 +272,37 @@ class _Compiled:
                     (i, *_guard(p.role, p.stoich, limit[name]))
                     for i, (name, p) in zip(idx, parts)
                 )
+                entries = tuple(_Entries(name, p.role, p.stoich) for name, p in parts)
                 rows.append(
                     _Row(
                         action,
                         guards,
                         tuple((i, d) for i, d in zip(idx, deltas) if d),
                         itemgetter(*idx),
-                        tuple((name, p.role, p.stoich) for name, p in parts),
-                        {},
+                        _Labels(action, entries),
                     )
                 )
+        rows.sort(key=lambda row: (row.action, [e.species for e in row.labels.entries]))
         self.rows = tuple(rows)
+        # the fields ``moves`` reads, as plain tuples, which unpack faster
+        self._steps = tuple((r.guards, r.changes, r.levels, r.labels) for r in self.rows)
 
     def moves(self, state: State) -> list[tuple[CapabilityLabel, State]]:
-        """``(label, target)`` of every row enabled at ``state``."""
+        """``(label, target)`` of every row enabled at ``state``, in
+        label order."""
         out = []
-        for action, guards, changes, levels, fields, labels in self.rows:
+        for guards, changes, levels, labels in self._steps:
             for i, lo, hi in guards:
                 if not lo <= state[i] <= hi:
                     break
             else:
-                key = levels(state)
-                hit = labels.get(key)
-                if hit is None:
-                    hit = labels[key] = _label(
-                        action, fields, key if len(fields) > 1 else (key,)
-                    )
                 if changes:
                     target = list(state)
                     for i, delta in changes:
                         target[i] += delta
-                    out.append((hit, tuple(target)))
+                    out.append((labels[levels(state)], tuple(target)))
                 else:
-                    out.append((hit, state))
+                    out.append((labels[levels(state)], state))
         return out
 
 
@@ -278,10 +315,11 @@ def step(sys: SystemDef, state: State) -> list[tuple[CapabilityLabel, State]]:
 def build_lts(sys: SystemDef, max_states: int = DEFAULT_STATE_CAP) -> Lts:
     """Breadth-first closure of the step relation from the initial state.
 
-    State indexing is deterministic: discovery order, with each state's
-    successors visited in lexicographic order.  Transitions are ordered
-    by source, label and target.  Exceeding ``max_states`` raises
-    instead of truncating.
+    State indexing is deterministic: discovery order, with the new
+    successors of each state numbered in lexicographic order.
+    Transitions are ordered by source, label and target; ``moves``
+    already yields each state's labels in order.  Exceeding
+    ``max_states`` raises instead of truncating.
     """
     compiled = _Compiled(sys)
     states: list[State] = [compiled.initial]
@@ -290,17 +328,17 @@ def build_lts(sys: SystemDef, max_states: int = DEFAULT_STATE_CAP) -> Lts:
     src = 0
     while src < len(states):
         moves = compiled.moves(states[src])
-        for target in sorted(move[1] for move in moves):
-            if target not in index:
+        fresh = [target for _, target in moves if target not in index]
+        for target in sorted(fresh):
+            if target not in index:  # two rows can reach one new state
                 if len(states) >= max_states:
                     raise StateSpaceLimitError(max_states)
                 index[target] = len(states)
                 states.append(target)
-        # one move per row, and rows differ in their participants, so the
-        # labels from one state are distinct and order its transitions
-        moves.sort(key=itemgetter(0))
+        # rows differ in their participants, so the labels from one state
+        # are distinct, and ``moves`` yields them in order
         for label, target in moves:
-            transitions.append(Transition(src, label, index[target]))
+            transitions.append(_tuple_new(Transition, (src, label, index[target])))
         src += 1
     return Lts(
         species_order=compiled.order,
@@ -386,20 +424,23 @@ class WeakViews:
     """
 
     def __init__(self, lts: Lts, cfg: EquivConfig):
-        for action in sorted(lts.actions()):
-            if action not in cfg.fast and action not in cfg.slow:
-                raise UnpartitionedActionError(action)
         self.lts = lts
         self.cfg = cfg
         fast_succ: list[set[int]] = [set() for _ in lts.states]
         slow: list[list[tuple[CapabilityLabel, int]]] = [[] for _ in lts.states]
+        unpartitioned = set()
         for t in lts.transitions:
-            if t.label.action in cfg.fast:
+            action = t.label.action
+            if action in cfg.fast:
                 fast_succ[t.src].add(t.dst)
-            else:
+            elif action in cfg.slow:
                 move = (filter_label(t.label, cfg), t.dst)
                 if move not in slow[t.src]:
                     slow[t.src].append(move)
+            else:
+                unpartitioned.add(action)
+        if unpartitioned:
+            raise UnpartitionedActionError(min(unpartitioned))
         self._fast_succ = tuple(tuple(sorted(s)) for s in fast_succ)
         self._slow = tuple(tuple(moves) for moves in slow)
         self.scc = scc = _fast_sccs(self._fast_succ)

@@ -18,6 +18,7 @@ from fastslow import (
     SpeciesDef,
     StateSpaceLimitError,
     SystemDef,
+    UnpartitionedActionError,
     WeakViews,
     build_lts,
     compose,
@@ -389,6 +390,16 @@ class TestWeakViews:
         with pytest.raises(Exception) as err:
             WeakViews(lts, cfg)
         assert "unpartitioned-action" in str(err.value)
+        # z fires first (0 -> 1) and m only from level 1, but the error
+        # names the alphabetically first action that no set holds
+        two = parse_model(
+            "max A = 1;\nspecies A = (m,1) << A + (z,1) >> A;\nsystem = A[0];\n"
+        )
+        lts = build_lts(two)
+        assert [t.label.action for t in lts.transitions] == ["z", "m"]
+        with pytest.raises(UnpartitionedActionError) as err:
+            WeakViews(lts, EquivConfig(fast=frozenset(), slow=frozenset()))
+        assert err.value.action == "m"
 
     def test_closure_and_weak_moves_match_oracle(self):
         # explicit (partial) cooperation sets included: the view relations
