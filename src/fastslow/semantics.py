@@ -296,13 +296,14 @@ class _Compiled:
                 if not lo <= state[i] <= hi:
                     break
             else:
+                label = labels[levels(state)]
                 if changes:
                     target = list(state)
                     for i, delta in changes:
                         target[i] += delta
-                    out.append((labels[levels(state)], tuple(target)))
+                    out.append((label, tuple(target)))
                 else:
-                    out.append((labels[levels(state)], state))
+                    out.append((label, state))
         return out
 
 

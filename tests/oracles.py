@@ -20,6 +20,7 @@ from fastslow import (
     SourceSpan,
     StoichMatrix,
     SystemDef,
+    Transition,
     filter_label,
     max_level,
 )
@@ -154,6 +155,30 @@ def step_tree_oracle(
                 target[i] += p.role.level_delta(p.stoich)
             result.append((CapabilityLabel(action, tuple(sorted(entries))), tuple(target)))
     return result
+
+
+def build_lts_oracle(sys: SystemDef) -> Lts:
+    """The transition system of ``sys`` by breadth-first search over
+    ``step_tree_oracle``.
+
+    States are numbered in discovery order; each state's successors are
+    sorted and the new ones numbered in that order, and its transitions
+    are sorted by label and target."""
+    levels = sys.initial_levels()
+    states = [tuple(levels[name] for name in sys.species_order)]
+    index = {states[0]: 0}
+    transitions = []
+    src = 0
+    while src < len(states):
+        moves = step_tree_oracle(sys, states[src])
+        for target in sorted(target for _, target in moves):
+            if target not in index:
+                index[target] = len(states)
+                states.append(target)
+        for label, target in sorted(moves):
+            transitions.append(Transition(src, label, index[target]))
+        src += 1
+    return Lts(sys.species_order, tuple(states), 0, tuple(transitions))
 
 
 def dangling_coop_oracle(sys: SystemDef) -> list[str]:

@@ -33,7 +33,13 @@ from fastslow import (
     step,
     stoich_matrix,
 )
-from oracles import fast_edges, step_tree_oracle, warshall_closure, weak_slow_oracle
+from oracles import (
+    build_lts_oracle,
+    fast_edges,
+    step_tree_oracle,
+    warshall_closure,
+    weak_slow_oracle,
+)
 from randgen import (
     SCC_CONFIG,
     SCC_SHAPES,
@@ -161,6 +167,34 @@ class TestBuildLts:
             build_lts(SystemDef(species, tree), max_states=10)
         assert err.value.limit == 10
 
+    def test_label_entries_are_interned(self):
+        # one entry object per (row, participant, level) that occurs; a
+        # row is an action with its participants' names
+        lts = build_lts(inhibition_full(60, 6, 3))
+        entries = {id(e) for t in lts.transitions for e in t.label.entries}
+        triples = {
+            (t.label.action, tuple(e.species for e in t.label.entries), e.species, e.level)
+            for t in lts.transitions
+            for e in t.label.entries
+        }
+        assert len(entries) <= len(triples)
+
+    def test_huge_maximum_allocates_nothing_per_level(self):
+        sys = parse_model(
+            "max A = 1000000000000;\n"
+            "species A = (up,1) >> A;\n"
+            "system = A[999999999999];\n"
+        )
+        tracemalloc.start()
+        try:
+            lts = build_lts(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lts.states == ((999999999999,), (1000000000000,))
+        assert lts.n_transitions == 1
+        assert peak < 5 * 2**20
+
     def test_level_delta_soundness_sample(self):
         sys = inhibition_full(3, 2, 2)
         lts = build_lts(sys)
@@ -258,6 +292,38 @@ class TestStepAgainstTreeOracle:
         assert len(paths) == 9
         for path in paths:
             self.assert_agrees(parse_model(path.read_text()))
+
+
+class TestBuildAgainstOracle:
+    """``build_lts`` against a breadth-first search over the tree oracle
+    that sorts each state's targets and labels itself: equal states,
+    numbering and transitions."""
+
+    @staticmethod
+    def assert_same(sys: SystemDef) -> None:
+        lts, expected = build_lts(sys), build_lts_oracle(sys)
+        assert lts.species_order == expected.species_order
+        assert lts.states == expected.states
+        assert lts.transitions == expected.transitions
+
+    @pytest.mark.parametrize("sync_all", [True, False])
+    def test_random_systems(self, sync_all):
+        for case in range(300):
+            rng = random.Random(f"build-oracle:{sync_all}:{case}")
+            self.assert_same(random_system(rng, sync_all=sync_all))
+
+    def test_pathway(self):
+        self.assert_same(pathway(3, 3)[0])
+
+    def test_inhibition(self):
+        self.assert_same(inhibition_full(20, 3, 1))
+        self.assert_same(inhibition_reduced(20, 3, 1))
+
+    def test_every_fixture_model(self, fixtures):
+        paths = sorted(p for p in fixtures.glob("*.bp") if p.name != "broken.bp")
+        assert len(paths) == 9
+        for path in paths:
+            self.assert_same(parse_model(path.read_text()))
 
 
 class TestFilterLabel:
