@@ -14,14 +14,16 @@ bisimulation check stand in for the full fast-slow check when the reduced
 model has no fast variables and the slow variables are matching
 individual species.
 
-All linear algebra is exact: invariants are equality assertions, so
-floating point is banned here.
+All linear algebra is exact integer arithmetic, as invariants are equality
+assertions.  Each basis is chosen greedily on one ``rational.Echelon``,
+which a candidate joins when its reduction leaves a non-zero remainder.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import Iterable
 
 from . import rational
@@ -153,25 +155,24 @@ def conserved_basis(m: StoichMatrix) -> list[IntVector]:
     flows = rational.minimal_semiflows(list(m.entries))
     if flows is not None:
         flows.sort(key=lambda f: (sum(1 for x in f if x), f))
-        chosen = _independent([], flows, len(canonical))
+        chosen = _independent(rational.Echelon(), flows, len(canonical))
         if len(chosen) == len(canonical):
             return sorted(chosen, key=_leading_index)
     return canonical
 
 
 def _independent(
-    stack: list[IntVector], candidates: Iterable[IntVector], size: int
+    basis: rational.Echelon, candidates: Iterable[IntVector], size: int
 ) -> list[IntVector]:
-    """``stack``, which must be independent, extended by the first
-    candidates that raise its rank, up to ``size`` vectors; the rank of
-    an independent stack is its length."""
-    stack = list(stack)
+    """The first candidates that raise the rank of ``basis``, each added
+    to it, until its rank is ``size``."""
+    chosen = []
     for vec in candidates:
-        if len(stack) == size:
+        if basis.rank == size:
             break
-        if rational.rank(stack + [vec]) > len(stack):
-            stack.append(vec)
-    return stack
+        if basis.add(vec):
+            chosen.append(vec)
+    return chosen
 
 
 def _leading_index(vector: IntVector) -> int:
@@ -202,10 +203,11 @@ def slow_basis(
     n = m.n_species
     order = sorted(range(n), key=lambda i: cfg.canon(m.species[i]) not in cfg.delta)
     units = (_unit(i, n) for i in order if not any(fast_part[i]))
-    stack = _independent(conserved, units, len(space))
-    if len(stack) < len(space):
-        stack = _independent(stack, rational.rref_int_basis(space), len(space))
-    return stack[len(conserved):]
+    basis = rational.Echelon(conserved)
+    slow = _independent(basis, units, len(space))
+    if basis.rank < len(space):
+        slow += _independent(basis, rational.rref_int_basis(space), len(space))
+    return slow
 
 
 def complete_fast(
@@ -219,11 +221,9 @@ def complete_fast(
     fast intermediates as explicit coordinates.
     """
     n = m.n_species
-    stack = [list(v) for v in conserved] + [list(v) for v in slow]
-    _, pivots = rational.rref(stack)
-    fast = [_unit(i, n) for i in range(n) if i not in pivots]
-    full = stack + [list(v) for v in fast]
-    if rational.rank(full) != n:
+    basis = rational.Echelon(conserved + slow)
+    fast = [_unit(i, n) for i in range(n) if i not in basis.pivots]
+    if not all(map(basis.add, fast)):
         raise ClassificationError("completion failed to reach full rank")
     return fast
 
@@ -274,9 +274,11 @@ class VariableClassification:
         return tuple(vector_name(v, self.species) for v in self.slow + self.fast)
 
 
-def classify(sys: SystemDef, cfg: EquivConfig) -> VariableClassification:
-    """Full classification pipeline for one model."""
-    m = stoich_matrix(sys)
+def classify(
+    sys: SystemDef, cfg: EquivConfig, m: StoichMatrix | None = None
+) -> VariableClassification:
+    """Full classification pipeline for one model, whose matrix ``m`` may be prebuilt."""
+    m = stoich_matrix(sys) if m is None else m
     conserved = conserved_basis(m)
     slow = slow_basis(m, cfg, conserved)
     fast = complete_fast(m, conserved, slow)
@@ -284,7 +286,7 @@ def classify(sys: SystemDef, cfg: EquivConfig) -> VariableClassification:
         raise ClassificationError("variable counts do not add up to the species count")
     initial = sys.initial_levels()
     levels = [initial[name] for name in m.species]
-    constants = tuple(int(rational.dot(v, levels)) for v in conserved)
+    constants = tuple(sum(map(mul, v, levels)) for v in conserved)
     warnings = []
     for v in conserved:
         if any(x < 0 for x in v):
@@ -311,7 +313,7 @@ def block_shape_ok(m: StoichMatrix, cfg: EquivConfig, cls: VariableClassificatio
 
     def vanish(vectors, actions: frozenset[str]) -> bool:
         columns = list(zip(*m.columns_for(actions)))
-        return all(rational.dot(v, c) == 0 for v in vectors for c in columns)
+        return not any(sum(map(mul, v, c)) for v in vectors for c in columns)
 
     return vanish(cls.conserved, cfg.slow | cfg.fast) and vanish(cls.slow, cfg.fast)
 
@@ -324,14 +326,12 @@ def transform_lts(lts: Lts, cls: VariableClassification) -> Lts:
     collision raises StateCollisionError.
     """
     vectors = cls.slow + cls.fast
-    if rational.rank(
-        [list(v) for v in cls.conserved] + [list(v) for v in vectors]
-    ) != len(cls.species):
+    if rational.Echelon(cls.conserved + vectors).rank != len(cls.species):
         raise ClassificationError("classification vectors are not a basis")
     new_states = []
     seen: dict[IntVector, IntVector] = {}
     for state in lts.states:
-        coords = tuple(int(rational.dot(v, state)) for v in vectors)
+        coords = tuple(sum(map(mul, v, state)) for v in vectors)
         if coords in seen:
             raise StateCollisionError(seen[coords], state)
         seen[coords] = state
@@ -359,10 +359,11 @@ def slow_sufficiency(
     if cls_b.n_f != 0:
         reasons.append("second model has fast variables")
     canon: list[set[str]] = []  # one per model whose slow basis is all species
-    for cls in (cls_a, cls_b):
+    for side, cls in (("first", cls_a), ("second", cls_b)):
         names = cls.slow_species()
         reasons += [
-            "slow variable not an individual species: " + vector_name(vec, cls.species)
+            f"{side} model has a slow variable that is not an individual species: "
+            + vector_name(vec, cls.species)
             for vec, name in zip(cls.slow, names)
             if name is None
         ]
@@ -469,8 +470,8 @@ def shortcut_check(
 
 def classification_report(sys: SystemDef, cfg: EquivConfig) -> dict:
     """JSON-friendly classification summary with stable key order."""
-    cls = classify(sys, cfg)
     m = stoich_matrix(sys)
+    cls = classify(sys, cfg, m)
 
     def basis_entry(vector: IntVector, constant: int | None = None) -> dict:
         entry: dict = {"vector": list(vector), "name": vector_name(vector, cls.species)}

@@ -1,22 +1,79 @@
-"""Exact linear algebra over the rationals.
+"""Exact integer linear algebra.
 
-Invariant computations must produce exact integer vectors, so everything
-here works with ``fractions.Fraction`` and scales results to coprime
-integers.  Matrices are plain lists of row tuples; sizes are tiny (species
-by reactions), so clarity wins over cleverness.
+Invariant computations must produce exact integer vectors, so every span
+here is held by one ``Echelon``: integer rows reduced by fraction-free
+updates (after Bareiss, 1968) and divided by their gcd.  Rational inputs
+are cleared to integers on entry, and only ``rref`` makes ``Fraction``s.
+Matrices are plain lists of row tuples; sizes are tiny (species by
+reactions), so clarity wins over cleverness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Sequence
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
+IntVector = tuple[int, ...]
 Vector = tuple[Fraction, ...]
 
 
-def _rows(vectors: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in v] for v in vectors]
+class Echelon:
+    """An integer echelon basis of a growing span.
+
+    Each row is a tuple of coprime integers whose pivot, its first
+    non-zero entry, is positive, and each row is zero at the pivots of
+    the rows added before it.  So one pass over the rows in order
+    reduces a vector to zero exactly when it lies in the span.
+    """
+
+    def __init__(self, vectors: Iterable[Sequence[int]] = ()):
+        self.rows: list[IntVector] = []
+        self.pivots: list[int] = []
+        for vector in vectors:
+            self.add(vector)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, vector: Sequence[int]) -> bool:
+        """Reduce ``vector`` against the rows and keep the remainder when
+        it is non-zero: whether the span grew."""
+        v = list(vector)
+        for row, p in zip(self.rows, self.pivots):
+            if v[p]:
+                g = gcd(v[p], row[p])
+                a, b = row[p] // g, v[p] // g
+                v = [a * x - b * y for x, y in zip(v, row)]
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            return False
+        self.rows.append(_primitive(v, v[pivot]))
+        self.pivots.append(pivot)
+        return True
+
+    def reduced(self) -> tuple[list[IntVector], list[int]]:
+        """The reduced row echelon form of the span, its rows scaled to
+        coprime integers, and its ascending pivot columns.
+
+        Adding the rows again, last pivot first, clears each pivot column
+        from the rows before it; a row is zero before its own pivot, so
+        that leaves the pivots in place.
+        """
+        order = sorted(range(self.rank), key=self.pivots.__getitem__, reverse=True)
+        span = Echelon(self.rows[i] for i in order)
+        return span.rows[::-1], span.pivots[::-1]
+
+
+def _primitive(v: list[int], lead: int) -> IntVector:
+    """``v`` divided by the gcd of its entries, with the sign of ``lead``."""
+    g = -gcd(*v) if lead < 0 else gcd(*v)
+    return tuple(v) if g in (0, 1) else tuple(x // g for x in v)
+
+
+def _basis(vectors: Iterable[Sequence[int | Fraction]]) -> Echelon:
+    return Echelon(map(integer_scaled, vectors))
 
 
 def rref(vectors: Sequence[Sequence[int | Fraction]]) -> tuple[list[Vector], list[int]]:
@@ -26,106 +83,47 @@ def rref(vectors: Sequence[Sequence[int | Fraction]]) -> tuple[list[Vector], lis
     cleared elsewhere) and the list of pivot column indices.  The result
     is the unique canonical basis of the row space.
     """
-    m = _rows(vectors)
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        factor = m[row][col]
-        m[row] = [x / factor for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return [tuple(r) for r in m[:row]], pivots
+    rows, pivots = _basis(vectors).reduced()
+    return [tuple(Fraction(x, r[p]) for x in r) for r, p in zip(rows, pivots)], pivots
 
 
 def rank(vectors: Sequence[Sequence[int | Fraction]]) -> int:
-    return len(rref(vectors)[0])
+    return _basis(vectors).rank
 
 
 def in_span(vector: Sequence[int | Fraction], basis: Sequence[Sequence[int | Fraction]]) -> bool:
-    if not any(vector):
-        return True
-    return rank(list(basis) + [list(vector)]) == rank(basis)
+    return not _basis(basis).add(integer_scaled(vector))
 
 
-def nullspace(matrix: Sequence[Sequence[int | Fraction]]) -> list[Vector]:
-    """Basis of {x | A x = 0} from the free columns of the RREF of A."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    if ncols == 0:
-        return []
-    reduced, pivots = rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in zip(reduced, pivots):
-            v[p] = -r[f]
-        basis.append(tuple(v))
-    return basis
+def nullspace(matrix: Sequence[Sequence[int | Fraction]]) -> list[IntVector]:
+    """Integer basis of {x | A x = 0}."""
+    return left_nullspace(list(zip(*matrix)))
 
 
-def left_nullspace(matrix: Sequence[Sequence[int | Fraction]]) -> list[Vector]:
-    """Basis of {y | y^T A = 0}.
+def left_nullspace(matrix: Sequence[Sequence[int | Fraction]]) -> list[IntVector]:
+    """Integer basis of {y | y^T A = 0}.
 
-    A matrix with no columns annihilates nothing, so the result is the
-    full standard basis.
+    The rows of the echelon basis of [A | I] that are zero on A, cut to
+    their I part: that part records the combination of rows of A that
+    the row is.  A matrix with no columns annihilates nothing, so the
+    result is the full standard basis.
     """
-    nrows = len(matrix)
-    if nrows == 0:
-        return []
-    ncols = len(matrix[0])
-    if ncols == 0:
-        return [
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(nrows))
-            for i in range(nrows)
-        ]
-    transpose = [[matrix[r][c] for r in range(nrows)] for c in range(ncols)]
-    return nullspace(transpose)
+    n = len(matrix)
+    width = len(matrix[0]) if n else 0
+    span = _basis((*row, *(int(i == j) for j in range(n))) for i, row in enumerate(matrix))
+    return [r[width:] for r, p in zip(span.rows, span.pivots) if p >= width]
 
 
-def integer_scaled(vector: Sequence[int | Fraction]) -> tuple[int, ...]:
+def integer_scaled(vector: Sequence[int | Fraction]) -> IntVector:
     """Scale a rational vector to coprime integers, leading entry positive."""
-    fracs = [Fraction(x) for x in vector]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-v for v in ints]
-            break
-    return tuple(ints)
+    denom = lcm(*(x.denominator for x in vector))
+    ints = [x.numerator * (denom // x.denominator) for x in vector]
+    return _primitive(ints, next((x for x in ints if x), 0))
 
 
-def rref_int_basis(vectors: Sequence[Sequence[int | Fraction]]) -> list[tuple[int, ...]]:
+def rref_int_basis(vectors: Sequence[Sequence[int | Fraction]]) -> list[IntVector]:
     """Canonical integer basis of a span: RREF rows scaled to coprime integers."""
-    reduced, _ = rref(vectors)
-    return [integer_scaled(r) for r in reduced]
+    return _basis(vectors).reduced()[0]
 
 
 def dot(a: Sequence[int | Fraction], b: Sequence[int | Fraction]):

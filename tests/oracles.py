@@ -369,6 +369,28 @@ def _rref(vectors, width: int) -> tuple[list[list[Fraction]], list[int]]:
     return rows[: len(pivots)], pivots
 
 
+def null_oracle(columns, width: int) -> list[list[Fraction]]:
+    """Basis of the vectors (each ``width`` long) orthogonal to every one
+    of ``columns``: one per free column of their reduced row echelon form."""
+    reduced, pivots = _rref(columns, width)
+    space = []
+    for free in (c for c in range(width) if c not in pivots):
+        y = [Fraction(0)] * width
+        y[free] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            y[p] = -row[free]
+        space.append(y)
+    return space
+
+
+def coprime_oracle(row) -> tuple[int, ...]:
+    """A rational row with a positive leading entry as coprime integers."""
+    scale = lcm(*(x.denominator for x in row))
+    ints = [int(x * scale) for x in row]
+    divisor = gcd(*ints)
+    return tuple(x // divisor for x in ints)
+
+
 def slow_basis_oracle(
     m: StoichMatrix, cfg: EquivConfig, conserved: list[tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
@@ -383,14 +405,7 @@ def slow_basis_oracle(
         for j, action in enumerate(m.actions)
         if action in cfg.fast
     ]
-    reduced, pivots = _rref(fast_columns, n)
-    space = []
-    for free in (c for c in range(n) if c not in pivots):
-        y = [Fraction(0)] * n
-        y[free] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            y[p] = -row[free]
-        space.append(y)
+    space = null_oracle(fast_columns, n)
     target = len(space) - len(conserved)
     if target <= 0:
         return []
@@ -415,10 +430,7 @@ def slow_basis_oracle(
         for row in _rref(space, n)[0]:
             if len(chosen) == target:
                 break
-            scale = lcm(*(x.denominator for x in row))
-            ints = [int(x * scale) for x in row]
-            divisor = gcd(*ints)
-            vec = tuple(x // divisor for x in ints)
+            vec = coprime_oracle(row)
             if independent(vec):
                 chosen.append(vec)
     return chosen

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -200,7 +201,7 @@ class TestSlowBasisAgainstOracle:
         assert filled > 50
 
     def test_pathway_and_inhibition(self):
-        for k in range(2, 7):
+        for k in range(2, 13):  # k=12: the classify job the benchmark repeats most
             assert self.agrees(*pathway(k, 1))  # slow S0+C1, S1+C2, ...
         for sys in (inhibition_full(5, 3, 0), inhibition_reduced(5, 3, 0)):
             self.agrees(sys, CFG)
@@ -339,6 +340,15 @@ class TestSufficiency:
         cls_b = classify(inhibition_reduced(5, 3, 0), CFG)
         reasons = slow_sufficiency(doctored, cls_b, CFG)
         assert any("individual species" in r for r in reasons)
+
+    def test_reasons_name_their_model(self):
+        cls = classify(inhibition_full(5, 3, 0), CFG)
+        doctored = replace(cls, slow=((1, 0, 0, 0, 0, 1),))  # S + SE
+        assert slow_sufficiency(doctored, doctored, CFG) == (
+            "second model has fast variables",
+            "first model has a slow variable that is not an individual species: S+SE",
+            "second model has a slow variable that is not an individual species: S+SE",
+        )
 
     def test_mismatched_slow_species(self):
         cls_a = classify(inhibition_full(5, 3, 0), CFG)

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from fastslow.rational import (
+    Echelon,
     dot,
     in_span,
     integer_scaled,
@@ -13,6 +15,7 @@ from fastslow.rational import (
     rref,
     rref_int_basis,
 )
+from oracles import _rref, coprime_oracle, null_oracle
 
 
 class TestRref:
@@ -34,6 +37,51 @@ class TestRref:
     def test_rank(self):
         assert rank([[1, 0], [0, 1], [1, 1]]) == 2
         assert rank([[0, 0]]) == 0
+
+    def test_pivots_normalised_to_one(self):
+        assert rref([[2, 1]]) == ([(1, Fraction(1, 2))], [0])
+
+
+class TestAgainstOracle:
+    """The integer kernel against the Gauss-Jordan elimination over
+    ``Fraction`` in ``oracles._rref``, on seeded random matrices of 1-7
+    rows and columns; every fifth has rational entries."""
+
+    @staticmethod
+    def matrices():
+        for case in range(2000):
+            rng = random.Random(f"rational-oracle:{case}")
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            pool = [0, 0, 1, -1] if case % 2 else [0, 0, 0, 1, -1, 2, -3, 5]
+            matrix = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+            if case % 5 == 0:
+                matrix = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in matrix]
+            yield rng, matrix, cols
+
+    def test_kernel_matches_oracle(self):
+        for rng, matrix, cols in self.matrices():
+            reduced, pivots = _rref(matrix, cols)
+            assert rank(matrix) == len(pivots)
+            assert rref(matrix) == ([tuple(r) for r in reduced], pivots)
+            assert rref_int_basis(matrix) == [coprime_oracle(r) for r in reduced]
+            vector = [rng.choice([0, 1, -1, 2]) for _ in range(cols)]
+            grows = len(_rref(matrix + [vector], cols)[1]) > len(pivots)
+            assert in_span(vector, matrix) is not grows
+
+    def test_null_spaces_span_oracle(self):
+        for _, matrix, cols in self.matrices():
+            n = len(matrix)
+            expected = null_oracle(list(zip(*matrix)), n)
+            assert _rref(left_nullspace(matrix), n) == _rref(expected, n)
+            assert _rref(nullspace(matrix), cols) == _rref(null_oracle(matrix, cols), cols)
+
+    def test_add_grows_exactly_with_oracle_rank(self):
+        for _, matrix, cols in self.matrices():
+            basis = Echelon()
+            for i, row in enumerate(matrix):
+                grows = len(_rref(matrix[: i + 1], cols)[1]) > len(_rref(matrix[:i], cols)[1])
+                assert basis.add(integer_scaled(row)) is grows
+            assert basis.rank == len(_rref(matrix, cols)[1])
 
 
 class TestNullspaces:
