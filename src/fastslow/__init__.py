@@ -33,6 +33,7 @@ from .equivalence import (
     largest_fast_slow,
     largest_slow,
     relation_to_json,
+    relation_verdict,
     resolve_relation,
     shared_fast_actions,
 )

@@ -27,7 +27,12 @@ from operator import mul
 from typing import Iterable
 
 from . import rational
-from .equivalence import CheckOutcome, check_fast_slow_relation, check_slow_relation
+from .equivalence import (
+    CheckOutcome,
+    check_fast_slow_relation,
+    check_slow_relation,
+    relation_verdict,
+)
 from .model import EquivConfig, SystemDef
 from .semantics import DEFAULT_STATE_CAP, Lts, _Compiled, build_lts
 
@@ -113,26 +118,26 @@ def stoich_matrix(sys: SystemDef) -> StoichMatrix:
         for p in sdef.prefixes:
             first.setdefault(p.action, len(first))
     columns = [
-        (first[row.action], tuple(sorted(i for i, _, _ in row.guards)), row)
-        for row in _Compiled(sys).rows
+        (first[labels.action], tuple(sorted(i for i, _, _ in guards)), labels.action, changes)
+        for guards, changes, _, labels in _Compiled(sys).rows
     ]
     columns.sort(key=lambda column: column[:2])
-    count = Counter(row.action for _, _, row in columns)
+    count = Counter(action for _, _, action, _ in columns)
     order = sys.species_order
     names = []
     entries = [[0] * len(columns) for _ in order]
-    for j, (_, participants, row) in enumerate(columns):
-        if count[row.action] == 1:
-            names.append(row.action)
+    for j, (_, participants, action, changes) in enumerate(columns):
+        if count[action] == 1:
+            names.append(action)
         else:
-            names.append(f"{row.action}[{','.join(order[i] for i in participants)}]")
-        for i, delta in row.changes:
+            names.append(f"{action}[{','.join(order[i] for i in participants)}]")
+        for i, delta in changes:
             entries[i][j] = delta
     return StoichMatrix(
         order,
         tuple(names),
         tuple(tuple(row) for row in entries),
-        tuple(row.action for _, _, row in columns),
+        tuple(action for _, _, action, _ in columns),
     )
 
 
@@ -379,7 +384,8 @@ def slow_sufficiency(
 
 @dataclass(frozen=True)
 class ShortcutOutcome:
-    """Verdicts of the slow check and of its fast-slow cross-validation."""
+    """Verdicts of the slow check and of its fast-slow cross-validation,
+    which also asks for the initial pair (``relation_verdict``)."""
 
     slow_outcome: CheckOutcome
     fastslow_outcome: CheckOutcome
@@ -420,10 +426,12 @@ def shortcut_check(
 
     The supplied relation is given in transformed coordinates: pairs of
     (slow..., fast...) for the first model against (slow...) for the
-    second, with equal slow values inside every pair.  After the slow
-    check succeeds on the transformed systems, the same relation is
-    cross-validated with the direct fast-slow check on the original
-    transition systems, which are built under the ``max_states`` cap.
+    second, with equal slow values inside every pair; both are checked
+    before any transition system is built.  After the slow check succeeds
+    on the transformed systems, the same relation is cross-validated with
+    the direct fast-slow check on the original transition systems, which
+    are built under the ``max_states`` cap, and ``relation_verdict`` turns
+    that check into the verdict on the two models.
     """
     cls_a = classify(sys_a, cfg)
     cls_b = classify(sys_b, cfg)
@@ -431,14 +439,9 @@ def shortcut_check(
     if reasons:
         raise ShortcutPreconditionError(list(reasons))
     cls_b = _align_slow(cls_a, cls_b, cfg)
-    lts_a = build_lts(sys_a, max_states=max_states)
-    lts_b = build_lts(sys_b, max_states=max_states)
-    t_a = transform_lts(lts_a, cls_a)
-    t_b = transform_lts(lts_b, cls_b)
     n_s = cls_a.n_s
-    pairs = set()
-    for coords_a, coords_b in relation:
-        coords_a, coords_b = tuple(coords_a), tuple(coords_b)
+    pairs = [(tuple(coords_a), tuple(coords_b)) for coords_a, coords_b in relation]
+    for coords_a, coords_b in pairs:
         if len(coords_a) != cls_a.n_s + cls_a.n_f or len(coords_b) != n_s:
             raise ShortcutPreconditionError(
                 [f"coordinate pair ({coords_a}, {coords_b}) has the wrong arities"]
@@ -450,6 +453,12 @@ def shortcut_check(
                     f"{coords_a[:n_s]} vs {coords_b[:n_s]}"
                 ]
             )
+    lts_a = build_lts(sys_a, max_states=max_states)
+    lts_b = build_lts(sys_b, max_states=max_states)
+    t_a = transform_lts(lts_a, cls_a)
+    t_b = transform_lts(lts_b, cls_b)
+    lifted = set()
+    for coords_a, coords_b in pairs:
         try:
             ia = t_a.index_of(coords_a)
         except KeyError:
@@ -458,14 +467,13 @@ def shortcut_check(
             ib = t_b.index_of(coords_b)
         except KeyError:
             raise ShortcutLiftError(coords_b, "second-model") from None
-        pairs.add((ia, ib))
-    lifted = frozenset(pairs)
-    slow_outcome = check_slow_relation(lifted, t_a, t_b, cfg)
-    if not slow_outcome.equivalent:
-        fs = slow_outcome
-    else:
-        fs = check_fast_slow_relation(lifted, lts_a, lts_b, cfg)
-    return ShortcutOutcome(slow_outcome, fs)
+        lifted.add((ia, ib))
+    rel = frozenset(lifted)
+    slow_outcome = fs = check_slow_relation(rel, t_a, t_b, cfg)
+    if slow_outcome.equivalent:
+        fs = check_fast_slow_relation(rel, lts_a, lts_b, cfg)
+    # the transformed systems keep the original state indices
+    return ShortcutOutcome(slow_outcome, relation_verdict(fs, rel, lts_a, lts_b))
 
 
 def classification_report(sys: SystemDef, cfg: EquivConfig) -> dict:

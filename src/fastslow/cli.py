@@ -6,7 +6,8 @@ slow-check shortcut), ``classify`` (conserved/slow/fast variables),
 ``congruence`` (side condition plus component and composed verdicts) and
 ``extend`` (apply the species extension operator and print model text).
 
-Exit codes: 0 success or equivalent, 1 not equivalent, 2 input error,
+Exit codes: 0 success or equivalent, 1 not equivalent (also a supplied
+bisimulation that leaves the initial states unrelated), 2 input error,
 3 state cap exceeded, 4 relation supplied but not a bisimulation,
 5 shortcut or classification preconditions unmet.
 """
@@ -133,6 +134,7 @@ _VERDICT_EXIT = {
     "equivalent": EXIT_OK,
     "not-equivalent": EXIT_NOT_EQUIVALENT,
     "relation-not-a-bisimulation": EXIT_BAD_RELATION,
+    "relation-valid-but-initial-states-unrelated": EXIT_NOT_EQUIVALENT,
 }
 
 
@@ -181,20 +183,7 @@ def cmd_check(args) -> int:
 
     if pairs is not None:
         rel = equivalence.resolve_relation(pairs, lts_a, lts_b)
-        outcome = check(rel, lts_a, lts_b, cfg)
-        if outcome.equivalent and (lts_a.initial, lts_b.initial) not in rel:
-            report = _report(
-                args,
-                mode=args.mode,
-                verdict="relation-valid-but-initial-states-unrelated",
-                witness=None,
-            )
-            _emit(
-                args,
-                report,
-                ["the relation is a bisimulation but does not relate the initial states"],
-            )
-            return EXIT_NOT_EQUIVALENT
+        outcome = equivalence.relation_verdict(check(rel, lts_a, lts_b, cfg), rel, lts_a, lts_b)
     else:
         rel, outcome = largest(lts_a, lts_b, cfg)
         if args.emit_relation:

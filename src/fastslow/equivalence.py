@@ -6,7 +6,7 @@ other with the same filtered label (action name and entries, after alias
 renaming), landing back in the relation.  The fast-slow game additionally
 requires every fast step to be answered by a (possibly empty) fast
 sequence.  Verifying a user-supplied relation checks each stored pair in
-both directions.
+both directions; ``relation_verdict`` then asks for the initial pair.
 
 Within one system, fast-slow bisimilarity is weak bisimilarity with fast
 actions as silent steps, so the largest fast-slow bisimulation on the
@@ -92,7 +92,12 @@ class Witness:
 
 @dataclass(frozen=True)
 class CheckOutcome:
-    verdict: Literal["equivalent", "not-equivalent", "relation-not-a-bisimulation"]
+    verdict: Literal[
+        "equivalent",
+        "not-equivalent",
+        "relation-not-a-bisimulation",
+        "relation-valid-but-initial-states-unrelated",
+    ]
     witness: Witness | None = None
 
     @property
@@ -192,6 +197,19 @@ def check_slow_relation(
 ) -> CheckOutcome:
     """Verify a user-supplied slow bisimulation candidate (fast clause dropped)."""
     return _check_relation(rel, a, b, cfg, include_fast=False)
+
+
+def relation_verdict(
+    outcome: CheckOutcome, rel: Relation, a: Lts, b: Lts
+) -> CheckOutcome:
+    """The verdict on ``a`` and ``b`` from the check of ``rel``.
+
+    A bisimulation shows the systems equivalent only if it relates their
+    initial states; a valid one that leaves them out shows nothing.
+    """
+    if outcome.equivalent and (a.initial, b.initial) not in rel:
+        return CheckOutcome("relation-valid-but-initial-states-unrelated")
+    return outcome
 
 
 def _index(game: _Game) -> tuple[dict, dict, list[set[int]]]:

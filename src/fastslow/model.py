@@ -257,37 +257,43 @@ def validate_system(sys: SystemDef) -> list[str]:
     levels fit in 0..N, and that explicit cooperation sets only name
     actions occurring on both sides of their node.
     """
-    problems = []
+    return [problem for _, problem in _system_problems(sys)]
+
+
+def _system_problems(sys: SystemDef) -> Iterator[tuple[str | None, str]]:
+    """``validate_system``'s problems in order, each with the defined
+    species it is about, or None when it is about the system as a whole."""
     if sys.step_size < 1:
-        problems.append(f"invalid-step-size: {sys.step_size} < 1")
+        yield None, f"invalid-step-size: {sys.step_size} < 1"
     defs: dict[str, SpeciesDef] = {}
     valid: dict[str, bool] = {}  # like defs, the last definition wins
     for s in sys.species:
         if s.name in defs:
-            problems.append(f"repeated-species({s.name})")
+            yield s.name, f"repeated-species({s.name})"
         defs[s.name] = s
         species_problems = validate_species(s)
         valid[s.name] = not species_problems
-        problems.extend(species_problems)
+        for problem in species_problems:
+            yield s.name, problem
 
     placed: set[str] = set()
     for leaf in tree_leaves(sys.tree):
         if leaf.species not in defs:
-            problems.append(f"unknown-species({leaf.species})")
+            yield None, f"unknown-species({leaf.species})"
             continue
         if leaf.species in placed:
-            problems.append(f"repeated-species({leaf.species})")
+            yield leaf.species, f"repeated-species({leaf.species})"
         placed.add(leaf.species)
         if sys.step_size >= 1 and valid[leaf.species]:
             n = max_level(defs[leaf.species], sys.step_size)
             if not 0 <= leaf.level <= n:
-                problems.append(
+                yield leaf.species, (
                     f"level-out-of-range({leaf.species}): "
                     f"initial {leaf.level} not in 0..{n}"
                 )
     for name in defs:
         if name not in placed:
-            problems.append(f"unused-species({name})")
+            yield name, f"unused-species({name})"
 
     # One post-order walk gives every subtree's action set, the smaller
     # child merged into the larger.  Nodes are first met in pre-order,
@@ -316,8 +322,8 @@ def validate_system(sys: SystemDef) -> list[str]:
             big |= small
             done.append(big)
     for found in dangling:
-        problems.extend(found)
-    return problems
+        for problem in found:
+            yield None, problem
 
 
 def extend_species(a: SpeciesDef, b: SpeciesDef) -> SpeciesDef:

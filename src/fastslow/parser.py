@@ -35,7 +35,7 @@ from .model import (
     Role,
     SpeciesDef,
     SystemDef,
-    validate_system,
+    _system_problems,
 )
 
 
@@ -148,7 +148,7 @@ class _ModelParser:
         self.problems: list[tuple[int, int, str]] = []
         self.step: int | None = None
         self.maxes: dict[str, tuple[int, Token]] = {}
-        # declaration order, which is also the order of the tokens' starts
+        # in declaration order
         self.species: dict[str, tuple[tuple[Prefix, ...], Token]] = {}
         self.tree: Leaf | Node | None = None
         self.system: Token | None = None  # the keyword of the system declaration
@@ -400,14 +400,8 @@ class _ModelParser:
             params=self.params,
             rates=self.rates,
         )
-        for problem in validate_system(sys):
-            # the first declared species the problem names, else the system line
-            named = [
-                self.species[n][1]
-                for n in _PARENTHESISED.findall(problem)
-                if n in self.species
-            ]
-            self.error(min(named, key=lambda tok: tok.start, default=self.system), problem)
+        for subject, problem in _system_problems(sys):
+            self.error(self.system if subject is None else self.species[subject][1], problem)
         if self.problems:
             raise _located(self.text, self.problems)
         return sys
@@ -418,8 +412,6 @@ class _Recover(Exception):
 
 
 _NO_COOP = object()
-
-_PARENTHESISED = re.compile(r"\(([^()]*)\)")
 
 
 def parse_model(text: str) -> SystemDef:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import getitem, itemgetter
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .model import (
     CompositionTree,
@@ -177,20 +177,6 @@ class _Labels(dict):
         return label
 
 
-class _Row(NamedTuple):
-    """One reaction instance: an action and the leaves that all take part.
-
-    Participants are kept in species-name order, so the entries of each
-    label come out sorted.
-    """
-
-    action: str
-    guards: tuple[tuple[int, int, int], ...]  # (state index, lo, hi)
-    changes: tuple[tuple[int, int], ...]  # (state index, level delta), deltas != 0
-    levels: Callable[[State], object]  # participant levels, the label key
-    labels: _Labels
-
-
 def _instances(
     tree: CompositionTree, defs: dict[str, SpeciesDef]
 ) -> dict[str, list[tuple[tuple[str, Prefix], ...]]]:
@@ -240,7 +226,7 @@ def _guard(role: Role, stoich: int, limit: int) -> tuple[int, int]:
 class _Compiled:
     """The reaction-instance table of one model, built once.
 
-    ``rows`` holds one ``_Row`` per reaction instance, read off the
+    ``rows`` holds one row per reaction instance, read off the
     cooperation tree by ``_instances``.  Each species has at most one
     prefix per action, so the instances do not depend on the state:
     stepping checks every row's guards against the levels and fires the
@@ -265,6 +251,7 @@ class _Compiled:
         rows = []
         for action, instances in _instances(sys.tree, defs).items():
             for parts in instances:
+                # in species-name order, so each label's entries come out sorted
                 parts = sorted(parts, key=lambda part: part[0])
                 idx = [index[name] for name, _ in parts]
                 deltas = [p.role.level_delta(p.stoich) for _, p in parts]
@@ -273,25 +260,17 @@ class _Compiled:
                     for i, (name, p) in zip(idx, parts)
                 )
                 entries = tuple(_Entries(name, p.role, p.stoich) for name, p in parts)
-                rows.append(
-                    _Row(
-                        action,
-                        guards,
-                        tuple((i, d) for i, d in zip(idx, deltas) if d),
-                        itemgetter(*idx),
-                        _Labels(action, entries),
-                    )
-                )
-        rows.sort(key=lambda row: (row.action, [e.species for e in row.labels.entries]))
+                changes = tuple((i, d) for i, d in zip(idx, deltas) if d)
+                rows.append((guards, changes, itemgetter(*idx), _Labels(action, entries)))
+        # each row is (guards, changes, levels, labels), as ``moves`` unpacks it
+        rows.sort(key=lambda row: (row[3].action, [e.species for e in row[3].entries]))
         self.rows = tuple(rows)
-        # the fields ``moves`` reads, as plain tuples, which unpack faster
-        self._steps = tuple((r.guards, r.changes, r.levels, r.labels) for r in self.rows)
 
     def moves(self, state: State) -> list[tuple[CapabilityLabel, State]]:
         """``(label, target)`` of every row enabled at ``state``, in
         label order."""
         out = []
-        for guards, changes, levels, labels in self._steps:
+        for guards, changes, levels, labels in self.rows:
             for i, lo, hi in guards:
                 if not lo <= state[i] <= hi:
                     break

@@ -371,6 +371,15 @@ class TestShortcut:
         assert result.fastslow_outcome.equivalent
         assert result.outcome.equivalent
 
+    def test_valid_relation_without_initial_pair(self):
+        # the terminal pair alone, product level 5, is a bisimulation
+        result = shortcut_check(
+            inhibition_full(5, 3, 0), inhibition_reduced(5, 3, 0), CFG, [((5, 0, 0), (5,))]
+        )
+        assert result.slow_outcome.verdict == "equivalent"
+        assert result.outcome.verdict == "relation-valid-but-initial-states-unrelated"
+        assert result.outcome.witness is None
+
     def test_unequal_slow_coordinates_rejected(self):
         with pytest.raises(ShortcutPreconditionError) as err:
             shortcut_check(

@@ -283,6 +283,36 @@ class TestCheckCommand:
         assert code == 0
         assert "verdict: equivalent" in out
 
+    # the terminal pair, product level 5: a bisimulation without the initial pair
+    @pytest.mark.parametrize(
+        "mode, pair",
+        [
+            ("fast-slow", [[0, 3, 0, 5, 0, 0], [0, 3, 0, 5]]),
+            ("slow", [[0, 3, 0, 5, 0, 0], [0, 3, 0, 5]]),
+            ("shortcut", [[5, 0, 0], [5]]),
+        ],
+    )
+    def test_valid_relation_without_initial_pair_exits_1(
+        self, fixtures, capsys, tmp_path, mode, pair
+    ):
+        verdict = "relation-valid-but-initial-states-unrelated"
+        text = json.dumps([pair])
+        code, out, err = check_relation(fixtures, capsys, tmp_path, text, "--mode", mode)
+        assert (code, out, err) == (1, f"verdict: {verdict}\n", "")
+        code, out, _ = check_relation(
+            fixtures, capsys, tmp_path, text, "--mode", mode, "--json", "--deterministic"
+        )
+        report = json.loads(out)
+        assert code == 1
+        assert (report["verdict"], report["witness"]) == (verdict, None)
+        if mode == "shortcut":
+            assert report["slowVerdict"] == "equivalent"
+            assert report["fastSlowVerdict"] == verdict
+        else:
+            # the ordinary check report
+            assert report["states"] == {"left": 18, "right": 6}
+            assert report["relationSize"] == 1
+
     def test_shortcut_mode_honours_state_cap(self, fixtures, capsys, tmp_path):
         rel_path = tmp_path / "rel.json"
         pairs = [
@@ -693,6 +723,22 @@ class TestInputsCheckedBeforeBuilding:
         err = self.refused(capsys, *self.check(fixtures, tmp_path, cfg, mode, rel))
         vector = "[5.9, 3, 0, 0, 0, 0]"
         assert err == f"{rel}: first-model vector {vector} is not an integer array\n"
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([[[5, 0], [5]]], "coordinate pair ((5, 0), (5,)) has the wrong arities"),
+            ([[[5, 0, 0], [4]]], "slow coordinates must be equal within each pair: (5,) vs (4,)"),
+        ],
+        ids=["arity", "slow-values"],
+    )
+    def test_shortcut_relation_shape(self, fixtures, capsys, tmp_path, pairs, message):
+        # a shortcut precondition, so exit code 5 rather than 2
+        rel = tmp_path / "rel.json"
+        rel.write_text(json.dumps(pairs))
+        argv = self.check(fixtures, tmp_path, fixtures / "inhibition.cfg", "shortcut", rel)
+        uncapped = run(capsys, *argv)
+        assert run(capsys, *argv, "--max-states", "1") == uncapped == (5, "", message + "\n")
 
     def test_congruence_unpartitioned_action(self, fixtures, capsys, tmp_path):
         cfg = tmp_path / "ab.cfg"

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from fastslow import (
+    CheckOutcome,
     EquivConfig,
     InvalidModelError,
     Leaf,
@@ -21,6 +22,7 @@ from fastslow import (
     largest_fast_slow,
     largest_slow,
     relation_to_json,
+    relation_verdict,
     resolve_relation,
     shared_fast_actions,
 )
@@ -275,6 +277,43 @@ class TestCheckAgainstViolationOracle:
                     assert outcome.witness.pair == (a.states[first[0]], b.states[first[1]])
                     assert_witness_unanswered(outcome.witness, rel, a, b, cfg)
         assert verdicts == {"equivalent", "relation-not-a-bisimulation"}
+
+
+class TestRelationVerdict:
+    """The verdict on the two systems from a relation check, on seeded
+    random relations: equivalent exactly when the oracle finds no
+    violated pair and the relation holds the initial pair, and a valid
+    relation without that pair gets its own verdict."""
+
+    @pytest.mark.parametrize(
+        "include_fast, check",
+        [(True, check_fast_slow_relation), (False, check_slow_relation)],
+        ids=["fast-slow", "slow"],
+    )
+    def test_random_relations(self, include_fast, check):
+        verdicts = set()
+        for case in range(500):
+            _, a, _, b, cfg = random_case(case, seed="relation-verdict", sync_all=case % 2 == 1)
+            rng = random.Random(f"relation-verdict:{case}")
+            cross = [(p, q) for p in range(a.n_states) for q in range(b.n_states)]
+            subset = frozenset(pair for pair in cross if rng.random() < 0.5)
+            largest = frozenset(largest_sweep_oracle(a, b, cfg, include_fast))
+            initial = (a.initial, b.initial)
+            violated = violation_oracle(a, b, cfg, include_fast)
+            for rel in (subset, largest, largest - {initial}):
+                if not rel:
+                    continue
+                outcome = relation_verdict(check(rel, a, b, cfg), rel, a, b)
+                verdicts.add(outcome.verdict)
+                valid = not any(violated(rel, *pair) for pair in rel)
+                assert outcome.equivalent == (valid and initial in rel)
+                if valid and initial not in rel:
+                    assert outcome == CheckOutcome("relation-valid-but-initial-states-unrelated")
+        assert verdicts == {
+            "equivalent",
+            "relation-not-a-bisimulation",
+            "relation-valid-but-initial-states-unrelated",
+        }
 
 
 class TestSlowChecks:

@@ -118,8 +118,9 @@ class TestParseModel:
             assert d.span.line >= 1 and d.span.column >= 1
 
     def test_problem_spans(self):
-        # a problem points at the first declared species it names in
-        # parentheses, even as an action's name, or else at the system line
+        # a problem points at the declared species it is about, or else at
+        # the system line: a cooperation action named like a species is
+        # still a problem of the system line
         text = (
             "max A = 2;\nmax B = 2;\n"
             "species A = (B,1) << A;\n"
@@ -129,8 +130,26 @@ class TestParseModel:
         assert spans_of(parse_model, text) == [
             ("level-out-of-range(A): initial 3 not in 0..2", 3, 9, 30, 31),
             ("unknown-species(Q)", 5, 1, 70, 76),
-            ("dangling-coop-action(B)", 4, 9, 54, 55),
+            ("dangling-coop-action(B)", 5, 1, 70, 76),
             ("dangling-coop-action(x)", 5, 1, 70, 76),
+        ]
+
+    def test_species_problem_points_at_its_species(self):
+        # the message names action a in parentheses, species S after it
+        text = "max S = 2;\nspecies S = (a,1) << S + (a,1) >> S;\nsystem = S[1];\n"
+        assert spans_of(parse_model, text) == [
+            ("duplicate-action(a) in species S", 2, 9, 19, 20),
+        ]
+
+    def test_dangling_action_named_like_a_species_points_at_system(self):
+        text = (
+            "max S = 2;\nmax q = 2;\n"
+            "species S = (a,1) << S;\n"
+            "species q = (q,1) >> q;\n"
+            "system = S[1] <q> q[0];\n"
+        )
+        assert spans_of(parse_model, text) == [
+            ("dangling-coop-action(q)", 5, 1, 70, 76),
         ]
 
     def test_comments_and_primes(self):
