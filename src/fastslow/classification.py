@@ -118,8 +118,8 @@ def stoich_matrix(sys: SystemDef) -> StoichMatrix:
         for p in sdef.prefixes:
             first.setdefault(p.action, len(first))
     columns = [
-        (first[labels.action], tuple(sorted(i for i, _, _ in guards)), labels.action, changes)
-        for guards, changes, _, labels in _Compiled(sys).rows
+        (first[row.action], tuple(sorted(i for i, _, _ in row.guards)), row.action, row.changes)
+        for row in _Compiled(sys).rows
     ]
     columns.sort(key=lambda column: column[:2])
     count = Counter(action for _, _, action, _ in columns)

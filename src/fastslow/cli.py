@@ -49,9 +49,10 @@ def _read(path: str) -> str:
         ) from None
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, *texts: str) -> None:
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(texts)
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}") from None
 
@@ -117,15 +118,16 @@ def cmd_lts(args) -> int:
     cfg = _load(args.config, parser.parse_config) if args.config else None
     lts = semantics.build_lts(sys_def, max_states=args.max_states)
     if args.format == "dot":
-        document = semantics.lts_to_dot(lts, cfg)
+        document = (semantics.lts_to_dot(lts, cfg),)
     else:
-        document = semantics.lts_to_json(lts) + "\n"
+        # the newline is written on its own: appending it copies the document
+        document = (semantics.lts_to_json(lts), "\n")
     counts = f"{lts.n_states} states, {lts.n_transitions} transitions"
     if args.out:
-        _write(args.out, document)
+        _write(args.out, *document)
         print(counts)
     else:
-        sys.stdout.write(document)
+        sys.stdout.writelines(document)
         print(counts, file=sys.stderr)
     return EXIT_OK
 
@@ -187,7 +189,7 @@ def cmd_check(args) -> int:
     else:
         rel, outcome = largest(lts_a, lts_b, cfg)
         if args.emit_relation:
-            _write(args.emit_relation, equivalence.relation_to_json(rel, lts_a, lts_b) + "\n")
+            _write(args.emit_relation, equivalence.relation_to_json(rel, lts_a, lts_b), "\n")
 
     report = _report(
         args,

@@ -13,9 +13,16 @@ Each model is compiled once into a table with one row per reaction
 instance: an action together with the leaves that fire it jointly, each
 with its state index, the levels ``lo..hi`` at which it can take part,
 and its level delta.  The rows come from one walk of the cooperation
-tree, since each species offers at most one prefix per action.  A step
-checks every row's guards against the state and fires the rows that
-pass; the stoichiometry matrix in ``classification`` reads the same rows.
+tree, since each species offers at most one prefix per action; the
+stoichiometry matrix in ``classification`` reads the same rows.
+
+A step runs one Python function generated from the rows, which tests
+every row's guards as inline comparisons and fires the rows that pass.
+Its source holds integer literals and fixed identifiers only, and the
+names it needs reach it through its namespace: a model's names are data
+and never parsed as code, and models of one shape share compiled code.
+The function is generated on the first step, so a table read only for
+its stoichiometry costs no compilation.
 
 A transition costs one label, so the table keeps what labels are made
 of.  Each row interns its participants' entries by level and its labels
@@ -32,9 +39,10 @@ participants' names do.  Rows therefore sort once by action and names.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import getitem, itemgetter
-from typing import Iterable, NamedTuple
+from types import CodeType
+from typing import Callable, Iterable, NamedTuple
 
 from .model import (
     CompositionTree,
@@ -60,7 +68,7 @@ State = tuple[int, ...]
 
 def format_state(state: State) -> str:
     """A level vector as ``(l1,l2,...)``, as in DOT nodes and witnesses."""
-    return "({})".format(",".join(str(x) for x in state))
+    return "({})".format(",".join(map(str, state)))
 
 
 class StateSpaceLimitError(Exception):
@@ -158,23 +166,16 @@ class _Entries(dict):
         return entry
 
 
-class _Labels(dict):
-    """One row's labels by participant levels, each made on first use
-    from the participants' interned entries.  A row with one participant
-    keys its labels by that participant's level alone."""
+class _Row(NamedTuple):
+    """One reaction instance: its action, and for each participant, in
+    species-name order, the state index and levels ``lo..hi`` at which it
+    can take part (``guards``) and its interned label entries; ``changes``
+    holds the nonzero level deltas by state index."""
 
-    __slots__ = ("action", "entries", "single")
-
-    def __init__(self, action: str, entries: tuple[_Entries, ...]):
-        super().__init__()
-        self.action, self.entries, self.single = action, entries, len(entries) == 1
-
-    def __missing__(self, key) -> CapabilityLabel:
-        levels = (key,) if self.single else key
-        label = self[key] = _tuple_new(
-            CapabilityLabel, (self.action, tuple(map(getitem, self.entries, levels)))
-        )
-        return label
+    action: str
+    guards: tuple[tuple[int, int, int], ...]
+    changes: tuple[tuple[int, int], ...]
+    entries: tuple[_Entries, ...]
 
 
 def _instances(
@@ -226,16 +227,18 @@ def _guard(role: Role, stoich: int, limit: int) -> tuple[int, int]:
 class _Compiled:
     """The reaction-instance table of one model, built once.
 
-    ``rows`` holds one row per reaction instance, read off the
+    ``rows`` holds one ``_Row`` per reaction instance, read off the
     cooperation tree by ``_instances``.  Each species has at most one
-    prefix per action, so the instances do not depend on the state:
-    stepping checks every row's guards against the levels and fires the
-    rows that pass.  Each row interns its participants' label entries by
-    level and its labels by the participants' levels, on first use, so
-    a label costs one dict lookup once made and an entry is never made
-    twice.  The rows are sorted by action and participant names, which
-    at any one state is the order of their labels (see the module
-    docstring), so ``moves`` comes out in label order.
+    prefix per action, so the instances do not depend on the state.  The
+    rows are sorted by action and participant names, which at any one
+    state is the order of their labels (see the module docstring).
+
+    ``moves`` steps one state.  It is a Python function generated from
+    the rows on first use, so a table that only ``stoich_matrix`` reads
+    costs no generation.  The function tests each row's guards inline,
+    looks its label up in the row's label dict (made from the row's
+    interned entries on first use) and applies the row's changes; it
+    yields its moves in label order.
     """
 
     def __init__(self, sys: SystemDef):
@@ -253,37 +256,70 @@ class _Compiled:
             for parts in instances:
                 # in species-name order, so each label's entries come out sorted
                 parts = sorted(parts, key=lambda part: part[0])
-                idx = [index[name] for name, _ in parts]
-                deltas = [p.role.level_delta(p.stoich) for _, p in parts]
                 guards = tuple(
-                    (i, *_guard(p.role, p.stoich, limit[name]))
-                    for i, (name, p) in zip(idx, parts)
+                    (index[name], *_guard(p.role, p.stoich, limit[name])) for name, p in parts
                 )
+                deltas = [(index[name], p.role.level_delta(p.stoich)) for name, p in parts]
+                changes = tuple((i, d) for i, d in deltas if d)
                 entries = tuple(_Entries(name, p.role, p.stoich) for name, p in parts)
-                changes = tuple((i, d) for i, d in zip(idx, deltas) if d)
-                rows.append((guards, changes, itemgetter(*idx), _Labels(action, entries)))
-        # each row is (guards, changes, levels, labels), as ``moves`` unpacks it
-        rows.sort(key=lambda row: (row[3].action, [e.species for e in row[3].entries]))
+                rows.append(_Row(action, guards, changes, entries))
+        rows.sort(key=lambda row: (row.action, [e.species for e in row.entries]))
         self.rows = tuple(rows)
 
-    def moves(self, state: State) -> list[tuple[CapabilityLabel, State]]:
-        """``(label, target)`` of every row enabled at ``state``, in
-        label order."""
-        out = []
-        for guards, changes, levels, labels in self.rows:
-            for i, lo, hi in guards:
-                if not lo <= state[i] <= hi:
-                    break
-            else:
-                label = labels[levels(state)]
-                if changes:
-                    target = list(state)
-                    for i, delta in changes:
-                        target[i] += delta
-                    out.append((label, tuple(target)))
-                else:
-                    out.append((label, state))
-        return out
+    @cached_property
+    def moves(self) -> Callable[[State], list[tuple[CapabilityLabel, State]]]:
+        """``(label, target)`` of every row enabled at a state, in label
+        order: the generated step function."""
+        return _generate(self.rows, len(self.order))
+
+
+def _generate(
+    rows: tuple[_Row, ...], width: int
+) -> Callable[[State], list[tuple[CapabilityLabel, State]]]:
+    """The step function of a reaction table, as Python source compiled once.
+
+    The source holds integer literals and fixed identifiers only; action
+    names, label dicts and entries reach it through its namespace, so no
+    name a model chooses is ever parsed as code.  It grows with the
+    rows' guards and changes, not with rows times species: a target is
+    a copy of the state with the changed levels set.
+    """
+    space: dict[str, object] = {"new": _tuple_new, "Label": CapabilityLabel}
+    unpack = "".join(f"x{i}, " for i in range(width)) + "= state"
+    lines = ["def moves(state):", "    " + unpack, "    out = []"]
+    for r, row in enumerate(rows):
+        space[f"A{r}"], space[f"L{r}"] = row.action, {}
+        levels = [f"x{i}" for i, _, _ in row.guards]
+        made = ""
+        for j, (x, entries) in enumerate(zip(levels, row.entries)):
+            space[f"E{r}_{j}"] = entries
+            made += f"E{r}_{j}[{x}], "
+        lines += [
+            "    if " + " and ".join(f"{lo} <= x{i} <= {hi}" for i, lo, hi in row.guards) + ":",
+            "        k = " + ", ".join(levels),
+            f"        lab = L{r}.get(k)",
+            "        if lab is None:",
+            f"            lab = L{r}[k] = new(Label, (A{r}, ({made})))",
+        ]
+        if row.changes:
+            lines.append("        t = list(state)")
+            lines += [f"        t[{i}] = x{i} + {d}" for i, d in row.changes]
+            lines.append("        out.append((lab, tuple(t)))")
+        else:
+            lines.append("        out.append((lab, state))")
+    lines.append("    return out")
+    exec(_code("\n".join(lines)), space)
+    # popped, so the namespace does not hold the function that holds it
+    return space.pop("moves")  # type: ignore[return-value]
+
+
+@lru_cache(maxsize=64)
+def _code(source: str) -> CodeType:
+    """Step source, compiled.  The source names nothing of a model, so
+    models of one shape (equal guards and changes) share the code: a
+    model that ``step`` or a second build meets again is not compiled
+    again."""
+    return compile(source, "<generated step>", "exec")
 
 
 def step(sys: SystemDef, state: State) -> list[tuple[CapabilityLabel, State]]:
@@ -336,12 +372,43 @@ def filter_label(label: CapabilityLabel, cfg: EquivConfig) -> CapabilityLabel:
     Renaming can reorder entries and make two of them equal, so the kept
     entries are sorted and each is kept once.
     """
-    kept = set()
-    for e in label.entries:
-        name = cfg.canon(e.species)
-        if name in cfg.delta:
-            kept.add(e if name == e.species else e._replace(species=name))
+    kept = {_filter_entry(e, cfg) for e in label.entries}
+    kept.discard(None)
     return CapabilityLabel(label.action, tuple(sorted(kept)))
+
+
+def _filter_entry(e: LabelEntry, cfg: EquivConfig) -> LabelEntry | None:
+    """``e`` renamed through the alias map, or None when its canonical
+    species is not in delta."""
+    name = cfg.canon(e.species)
+    if name not in cfg.delta:
+        return None
+    return e if name == e.species else e._replace(species=name)
+
+
+class _Filtered(dict):
+    """``filter_label`` under one configuration, by label, for one caller:
+    each distinct label is filtered once and each distinct entry once.
+    A transition system has far fewer distinct entries than labels, and
+    far fewer labels than transitions."""
+
+    __slots__ = ("cfg", "entries")
+
+    def __init__(self, cfg: EquivConfig):
+        super().__init__()
+        self.cfg = cfg
+        self.entries: dict[LabelEntry, LabelEntry | None] = {}
+
+    def __missing__(self, label: CapabilityLabel) -> CapabilityLabel:
+        entries = self.entries
+        kept = set()
+        for e in label.entries:
+            if e not in entries:
+                entries[e] = _filter_entry(e, self.cfg)
+            kept.add(entries[e])
+        kept.discard(None)
+        out = self[label] = _tuple_new(CapabilityLabel, (label.action, tuple(sorted(kept))))
+        return out
 
 
 def _fast_sccs(succ: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -409,12 +476,13 @@ class WeakViews:
         fast_succ: list[set[int]] = [set() for _ in lts.states]
         slow: list[list[tuple[CapabilityLabel, int]]] = [[] for _ in lts.states]
         unpartitioned = set()
+        filtered = _Filtered(cfg)
         for t in lts.transitions:
             action = t.label.action
             if action in cfg.fast:
                 fast_succ[t.src].add(t.dst)
             elif action in cfg.slow:
-                move = (filter_label(t.label, cfg), t.dst)
+                move = (filtered[t.label], t.dst)
                 if move not in slow[t.src]:
                     slow[t.src].append(move)
             else:
@@ -539,57 +607,74 @@ def lts_to_json(lts: Lts) -> str:
     """``json.dumps(lts_to_dict(lts), indent=2)``, written without the
     pure-Python encoder that ``indent`` selects.
 
-    Each distinct entry and label is rendered once; a label becomes a
-    ``%`` template, so a transition costs one substitution of its source
-    and target.
+    Each distinct entry and label is rendered once, and each action's
+    head once; a label becomes a ``%`` template, so a transition costs
+    one substitution of its source and target.  The document is made by
+    one join over the transitions.
     """
     entries: dict[LabelEntry, str] = {}
+    heads: dict[str, str] = {}
     templates: dict[CapabilityLabel, str] = {}
     transitions = []
     for src, label, dst in lts.transitions:
         template = templates.get(label)
         if template is None:
+            head = heads.get(label.action)
+            if head is None:
+                action = _json_str(label.action).replace("%", "%%")
+                head = heads[label.action] = (
+                    '{\n      "src": %d,\n      "action": ' + action + ',\n      "entries": '
+                )
             rendered = []
             for e in label.entries:
                 text = entries.get(e)
                 if text is None:
-                    text = entries[e] = _entry_json(e)
+                    text = entries[e] = _entry_json(e).replace("%", "%%")
                 rendered.append(text)
-            middle = (
-                f'      "action": {_json_str(label.action)},\n'
-                f'      "entries": {json_array(rendered, "      ")},\n'
-            )
             template = templates[label] = (
-                '{\n      "src": %d,\n' + middle.replace("%", "%%") + '      "dst": %d\n    }'
+                head + json_array(rendered, "      ") + ',\n      "dst": %d\n    }'
             )
         transitions.append(template % (src, dst))
     species = [_json_str(name) for name in lts.species_order]
     states = [json_array(list(map(str, s)), "    ") for s in lts.states]
-    return (
+    head = (
         "{\n"
         f'  "species": {json_array(species, "  ")},\n'
         f'  "states": {json_array(states, "  ")},\n'
         f'  "initial": {lts.initial},\n'
-        f'  "transitions": {json_array(transitions, "  ")}\n'
-        "}"
+        '  "transitions": '
     )
+    if not transitions:
+        return head + "[]\n}"
+    # the document's head and tail ride on the first and last transition,
+    # so the whole document is one join and never copied again
+    transitions[0] = head + "[\n    " + transitions[0]
+    transitions[-1] += "\n  ]\n}"
+    return ",\n    ".join(transitions)
 
 
 def lts_to_dot(lts: Lts, cfg: EquivConfig | None = None) -> str:
     """Graphviz rendering: level-vector nodes, action-labelled edges.
 
     With a configuration, edges also show the filtered label entries.
+    Each distinct edge label is rendered once, as a ``%`` template, so an
+    edge costs one substitution of its source and target.
     """
     lines = ["digraph lts {", "  rankdir=LR;", "  node [shape=box];"]
     for i, state in enumerate(lts.states):
         shape = ' peripheries=2' if i == lts.initial else ""
         lines.append(f'  {i} [label="{format_state(state)}"{shape}];')
-    for t in lts.transitions:
-        if cfg is None:
-            label = t.label.action
-        else:
-            inner = " ".join(str(e) for e in filter_label(t.label, cfg).entries)
-            label = f"{t.label.action}; {{{inner}}}"
-        lines.append(f'  {t.src} -> {t.dst} [label="{label}"];')
+    filtered = None if cfg is None else _Filtered(cfg)
+    edges: dict[str | CapabilityLabel, str] = {}
+    for src, label, dst in lts.transitions:
+        shown = label.action if filtered is None else filtered[label]
+        edge = edges.get(shown)
+        if edge is None:
+            if filtered is None:
+                text = label.action
+            else:
+                text = f"{label.action}; {{{' '.join(map(str, shown.entries))}}}"
+            edge = edges[shown] = '  %d -> %d [label="' + text.replace("%", "%%") + '"];'
+        lines.append(edge % (src, dst))
     lines.append("}")
     return "\n".join(lines) + "\n"

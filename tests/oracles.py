@@ -181,6 +181,24 @@ def build_lts_oracle(sys: SystemDef) -> Lts:
     return Lts(sys.species_order, tuple(states), 0, tuple(transitions))
 
 
+def dot_oracle(lts: Lts, cfg: EquivConfig | None = None) -> str:
+    """The DOT document of ``lts`` rendered edge by edge: with a
+    configuration, every edge's label goes through ``filter_label``."""
+    lines = ["digraph lts {", "  rankdir=LR;", "  node [shape=box];"]
+    for i, state in enumerate(lts.states):
+        levels = ",".join(str(x) for x in state)
+        shape = " peripheries=2" if i == lts.initial else ""
+        lines.append(f'  {i} [label="({levels})"{shape}];')
+    for t in lts.transitions:
+        text = t.label.action
+        if cfg is not None:
+            inner = " ".join(str(e) for e in filter_label(t.label, cfg).entries)
+            text = f"{text}; {{{inner}}}"
+        lines.append(f'  {t.src} -> {t.dst} [label="{text}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def dangling_coop_oracle(sys: SystemDef) -> list[str]:
     """The ``dangling-coop-action`` problems of ``sys``, in pre-order:
     at every node with a cooperation set, the actions of both subtrees

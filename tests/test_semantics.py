@@ -21,6 +21,7 @@ from fastslow import (
     UnpartitionedActionError,
     WeakViews,
     build_lts,
+    classify,
     compose,
     extend_species,
     filter_label,
@@ -33,6 +34,7 @@ from fastslow import (
     step,
     stoich_matrix,
 )
+from fastslow import semantics
 from oracles import (
     build_lts_oracle,
     fast_edges,
@@ -50,6 +52,7 @@ from randgen import (
 )
 from systems import (
     burst_systems,
+    chain,
     inhibition_config,
     inhibition_full,
     inhibition_reduced,
@@ -324,6 +327,65 @@ class TestBuildAgainstOracle:
         assert len(paths) == 9
         for path in paths:
             self.assert_same(parse_model(path.read_text()))
+
+
+class TestGeneratedStep:
+    """``_Compiled.moves`` is Python source generated from the table: no
+    name a model chooses reaches that source, and a table that is only
+    read for its stoichiometry generates nothing."""
+
+    def test_names_of_the_generated_identifiers(self):
+        sys = parse_model(
+            "max state = 2;\nmax out = 2;\nmax t = 1;\nmax x0 = 2;\nmax k = 1;\nmax lab = 2;\n"
+            "species state = (out,1) << state + (t,1) >> state;\n"
+            "species out = (out,1) >> out + (k,1) << out + (lab,1) (+) out;\n"
+            "species t = (t,1) << t + (state,1) >> t;\n"
+            "species x0 = (x0,1) >> x0 + (state,1) << x0 + (k,1) (-) x0;\n"
+            "species k = (k,1) >> k + (lab,1) << k;\n"
+            "species lab = (lab,2) >> lab + (x0,1) << lab + (t,1) (.) lab;\n"
+            "system = state[2] <*> out[0] <*> t[1] <*> x0[1] <*> k[0] <*> lab[2];\n"
+        )
+        lts = build_lts(sys)
+        assert lts.actions() == {"state", "out", "t", "x0", "k", "lab"}
+        assert lts.n_states > 100
+        TestBuildAgainstOracle.assert_same(sys)
+
+    def test_names_that_are_not_identifiers(self):
+        # the model language allows none of these, but a hand-built model can
+        odd = ['a"b', "c\nd)", "e%s{", "x0 = 1"]
+        species = tuple(
+            SpeciesDef(name, (Prefix(odd[i - 1], 1, Role.REACTANT), Prefix(odd[i], 1, Role.PRODUCT)), 2)
+            for i, name in enumerate(odd)
+        )
+        sys = SystemDef(species, chain(*(Leaf(name, 1) for name in odd)))
+        assert build_lts(sys).n_transitions > 0
+        TestBuildAgainstOracle.assert_same(sys)
+
+    def test_one_shape_is_compiled_once(self):
+        # equal guards and changes, other names and initial levels
+        text = (
+            "max {a} = 77;\nmax {b} = 5;\n"
+            "species {a} = (r,1) << {a};\nspecies {b} = (r,1) >> {b};\n"
+            "system = {a}[{n}] <*> {b}[0];\n"
+        )
+        first = parse_model(text.format(a="A", b="B", n=9))
+        second = parse_model(text.format(a="C", b="D", n=4))
+        compiled = semantics._code.cache_info().misses
+        for state in build_lts(first).states:
+            step(first, state)
+        assert build_lts(second).n_states == 5
+        assert semantics._code.cache_info().misses == compiled + 1
+
+    def test_stoichiometry_alone_generates_nothing(self, monkeypatch):
+        def generate(*args):
+            raise AssertionError("a step function was generated")
+
+        monkeypatch.setattr(semantics, "_generate", generate)
+        sys, cfg = pathway(4, 1)
+        assert len(stoich_matrix(sys).actions) == 12
+        classify(sys, cfg)
+        with pytest.raises(AssertionError):
+            build_lts(sys)
 
 
 class TestFilterLabel:

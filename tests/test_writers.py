@@ -1,10 +1,12 @@
-"""The JSON writers against ``json.dumps(..., indent=2)``.
+"""The writers against references that render naively.
 
 ``lts_to_json`` and ``relation_to_json`` lay their documents out by hand.
 Every output here must equal, byte for byte, what ``json.dumps`` with
 ``indent=2`` writes for the same document: the reference for a transition
 system is ``lts_to_dict``, and for a relation the list of
 [first-vector, second-vector] pairs in ``sorted(rel)`` order.
+``lts_to_dot`` renders each distinct edge label once; it must equal
+``oracles.dot_oracle``, which filters and renders every edge.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pytest
 
 from fastslow import (
     CapabilityLabel,
+    EquivConfig,
     LabelEntry,
     Leaf,
     Lts,
@@ -26,10 +29,13 @@ from fastslow import (
     build_lts,
     largest_fast_slow,
     largest_slow,
+    filter_label,
     lts_to_dict,
+    lts_to_dot,
     lts_to_json,
     relation_to_json,
 )
+from oracles import dot_oracle
 from randgen import random_case
 from systems import inhibition_config, inhibition_full, inhibition_reduced
 
@@ -63,6 +69,32 @@ def test_random_systems_and_their_largest_relations(sync_all):
     # the suite reaches empty relations and relations of many pairs
     assert min(largest_sizes) == 0
     assert max(largest_sizes) >= 20
+
+
+@pytest.mark.parametrize("sync_all", [True, False])
+def test_dot_against_the_edge_by_edge_oracle(sync_all):
+    merged = 0
+    for case in range(CASES):
+        _, a, _, b, _ = random_case(case, seed="dot", sync_all=sync_all)
+        for lts in (a, b):
+            first, second, *rest = lts.species_order
+            # the first species' entries move onto the second's, where
+            # equal entries merge; a third moves to a name sorting first
+            aliases = {first: second, **{name: "A" for name in rest}}
+            configs = [
+                EquivConfig(frozenset(), frozenset(), frozenset({second, "A"}), aliases),
+                EquivConfig(frozenset(), frozenset(), frozenset({first, *rest}), aliases),
+            ]
+            assert lts_to_dot(lts) == dot_oracle(lts), case
+            for cfg in configs:
+                assert lts_to_dot(lts, cfg) == dot_oracle(lts, cfg), case
+            # every entry survives the first configuration, so a shorter
+            # filtered label has merged two entries
+            merged += sum(
+                len(filter_label(t.label, configs[0]).entries) < len(t.label.entries)
+                for t in lts.transitions
+            )
+    assert merged > 50
 
 
 def test_inhibition_models_with_primes_in_names():
@@ -125,3 +157,6 @@ def test_percent_and_quotes_in_hand_built_names():
         transitions=(Transition(0, label, 0),),
     )
     assert lts_to_json(lts) == lts_reference(lts)
+    cfg = EquivConfig(frozenset(), frozenset(), frozenset({"B%d"}), {"A%s\\": "B%d"})
+    assert lts_to_dot(lts) == dot_oracle(lts)
+    assert lts_to_dot(lts, cfg) == dot_oracle(lts, cfg)
