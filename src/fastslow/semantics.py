@@ -388,16 +388,18 @@ def _filter_entry(e: LabelEntry, cfg: EquivConfig) -> LabelEntry | None:
 
 class _Filtered(dict):
     """``filter_label`` under one configuration, by label, for one caller:
-    each distinct label is filtered once and each distinct entry once.
-    A transition system has far fewer distinct entries than labels, and
-    far fewer labels than transitions."""
+    each distinct label is filtered once and each distinct entry once,
+    and equal filtered labels are one object.  A transition system has
+    far fewer distinct entries than labels, and far fewer labels than
+    transitions."""
 
-    __slots__ = ("cfg", "entries")
+    __slots__ = ("cfg", "entries", "labels")
 
     def __init__(self, cfg: EquivConfig):
         super().__init__()
         self.cfg = cfg
         self.entries: dict[LabelEntry, LabelEntry | None] = {}
+        self.labels: dict[tuple, CapabilityLabel] = {}
 
     def __missing__(self, label: CapabilityLabel) -> CapabilityLabel:
         entries = self.entries
@@ -407,7 +409,11 @@ class _Filtered(dict):
                 entries[e] = _filter_entry(e, self.cfg)
             kept.add(entries[e])
         kept.discard(None)
-        out = self[label] = _tuple_new(CapabilityLabel, (label.action, tuple(sorted(kept))))
+        key = (label.action, tuple(sorted(kept)))
+        out = self.labels.get(key)
+        if out is None:
+            out = self.labels[key] = _tuple_new(CapabilityLabel, key)
+        self[label] = out
         return out
 
 
@@ -656,25 +662,24 @@ def lts_to_json(lts: Lts) -> str:
 def lts_to_dot(lts: Lts, cfg: EquivConfig | None = None) -> str:
     """Graphviz rendering: level-vector nodes, action-labelled edges.
 
-    With a configuration, edges also show the filtered label entries.
-    Each distinct edge label is rendered once, as a ``%`` template, so an
-    edge costs one substitution of its source and target.
+    With a configuration, edges also show the filtered label entries;
+    each distinct filtered label is rendered once.
     """
     lines = ["digraph lts {", "  rankdir=LR;", "  node [shape=box];"]
     for i, state in enumerate(lts.states):
         shape = ' peripheries=2' if i == lts.initial else ""
         lines.append(f'  {i} [label="{format_state(state)}"{shape}];')
     filtered = None if cfg is None else _Filtered(cfg)
-    edges: dict[str | CapabilityLabel, str] = {}
+    texts: dict[CapabilityLabel, str] = {}
     for src, label, dst in lts.transitions:
-        shown = label.action if filtered is None else filtered[label]
-        edge = edges.get(shown)
-        if edge is None:
-            if filtered is None:
-                text = label.action
-            else:
-                text = f"{label.action}; {{{' '.join(map(str, shown.entries))}}}"
-            edge = edges[shown] = '  %d -> %d [label="' + text.replace("%", "%%") + '"];'
-        lines.append(edge % (src, dst))
+        if filtered is None:
+            text = label.action
+        else:
+            shown = filtered[label]
+            text = texts.get(shown)
+            if text is None:
+                inner = " ".join(map(str, shown.entries))
+                text = texts[shown] = f"{label.action}; {{{inner}}}"
+        lines.append(f'  {src} -> {dst} [label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ Every output here must equal, byte for byte, what ``json.dumps`` with
 ``indent=2`` writes for the same document: the reference for a transition
 system is ``lts_to_dict``, and for a relation the list of
 [first-vector, second-vector] pairs in ``sorted(rel)`` order.
-``lts_to_dot`` renders each distinct edge label once; it must equal
+``lts_to_dot`` renders each distinct filtered label once; it must equal
 ``oracles.dot_oracle``, which filters and renders every edge.
 """
 
