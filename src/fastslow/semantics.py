@@ -20,9 +20,10 @@ A step runs one Python function generated from the rows, which tests
 every row's guards as inline comparisons and fires the rows that pass.
 Its source holds integer literals and fixed identifiers only, and the
 names it needs reach it through its namespace: a model's names are data
-and never parsed as code, and models of one shape share compiled code.
-The function is generated on the first step, so a table read only for
-its stoichiometry costs no compilation.
+and never parsed as code.  The function is generated on the first step,
+so a table read only for its stoichiometry costs no compilation.  Each
+table compiles its own source, and each row is one statement, so that
+compiling costs about what the steps of a few hundred transitions save.
 
 A transition costs one label, so the table keeps what labels are made
 of.  Each row interns its participants' entries by level and its labels
@@ -39,9 +40,8 @@ participants' names do.  Rows therefore sort once by action and names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
-from types import CodeType
 from typing import Callable, Iterable, NamedTuple
 
 from .model import (
@@ -238,7 +238,8 @@ class _Compiled:
     costs no generation.  The function tests each row's guards inline,
     looks its label up in the row's label dict (made from the row's
     interned entries on first use) and applies the row's changes; it
-    yields its moves in label order.
+    yields its moves in label order.  ``limits`` holds each species'
+    maximum level, the bound a guard need not test.
     """
 
     def __init__(self, sys: SystemDef):
@@ -251,6 +252,7 @@ class _Compiled:
         limit = {name: max_level(sdef, sys.step_size) for name, sdef in defs.items()}
         levels = sys.initial_levels()
         self.initial: State = tuple(levels[name] for name in self.order)
+        self.limits = tuple(limit[name] for name in self.order)
         rows = []
         for action, instances in _instances(sys.tree, defs).items():
             for parts in instances:
@@ -270,62 +272,72 @@ class _Compiled:
     def moves(self) -> Callable[[State], list[tuple[CapabilityLabel, State]]]:
         """``(label, target)`` of every row enabled at a state, in label
         order: the generated step function."""
-        return _generate(self.rows, len(self.order))
+        return _generate(self.rows, self.limits)
 
 
 def _generate(
-    rows: tuple[_Row, ...], width: int
+    rows: tuple[_Row, ...], limits: tuple[int, ...]
 ) -> Callable[[State], list[tuple[CapabilityLabel, State]]]:
     """The step function of a reaction table, as Python source compiled once.
 
     The source holds integer literals and fixed identifiers only; action
     names, label dicts and entries reach it through its namespace, so no
-    name a model chooses is ever parsed as code.  It grows with the
-    rows' guards and changes, not with rows times species: a target is
-    a copy of the state with the changed levels set.
+    name a model chooses is ever parsed as code.  A state's levels lie
+    within ``0..limit``, so a guard compares only against its other
+    bounds.  A row is one statement: its label is looked up, or made and
+    stored, in one expression.  The source grows with the rows' guards
+    and changes, not with rows times species: a target is spelled out as
+    a tuple only when that is no longer than setting the changed levels
+    in a copy of the state.
     """
     space: dict[str, object] = {"new": _tuple_new, "Label": CapabilityLabel}
+    width = len(limits)
     unpack = "".join(f"x{i}, " for i in range(width)) + "= state"
     lines = ["def moves(state):", "    " + unpack, "    out = []"]
     for r, row in enumerate(rows):
+        tests = []
+        for i, lo, hi in row.guards:
+            low = f"{lo} <= " if lo else ""
+            high = f" <= {hi}" if hi < limits[i] else ""
+            if low or high:
+                tests.append(f"{low}x{i}{high}")
+        lines.append("    if " + (" and ".join(tests) or "True") + ":")
         space[f"A{r}"], space[f"L{r}"] = row.action, {}
-        levels = [f"x{i}" for i, _, _ in row.guards]
-        made = ""
-        for j, (x, entries) in enumerate(zip(levels, row.entries)):
+        key = made = ""
+        for j, ((i, _, _), entries) in enumerate(zip(row.guards, row.entries)):
             space[f"E{r}_{j}"] = entries
-            made += f"E{r}_{j}[{x}], "
-        lines += [
-            "    if " + " and ".join(f"{lo} <= x{i} <= {hi}" for i, lo, hi in row.guards) + ":",
-            "        k = " + ", ".join(levels),
-            f"        lab = L{r}.get(k)",
-            "        if lab is None:",
-            f"            lab = L{r}[k] = new(Label, (A{r}, ({made})))",
-        ]
-        if row.changes:
+            key += f"x{i}, "
+            made += f"E{r}_{j}[x{i}], "
+        label = f"L{r}.get(k := ({key})) or L{r}.setdefault(k, new(Label, (A{r}, ({made}))))"
+        if not row.changes:
+            target = "state"
+        elif width <= 2 * len(row.changes) + 2:
+            change = dict(row.changes)
+            target = "".join(f"x{i} + {change[i]}, " if i in change else f"x{i}, " for i in range(width))
+            target = f"({target})"
+        else:
             lines.append("        t = list(state)")
             lines += [f"        t[{i}] = x{i} + {d}" for i, d in row.changes]
-            lines.append("        out.append((lab, tuple(t)))")
-        else:
-            lines.append("        out.append((lab, state))")
+            target = "tuple(t)"
+        lines.append(f"        out.append(({label}, {target}))")
     lines.append("    return out")
-    exec(_code("\n".join(lines)), space)
+    exec(compile("\n".join(lines), "<generated step>", "exec"), space)
     # popped, so the namespace does not hold the function that holds it
     return space.pop("moves")  # type: ignore[return-value]
 
 
-@lru_cache(maxsize=64)
-def _code(source: str) -> CodeType:
-    """Step source, compiled.  The source names nothing of a model, so
-    models of one shape (equal guards and changes) share the code: a
-    model that ``step`` or a second build meets again is not compiled
-    again."""
-    return compile(source, "<generated step>", "exec")
+def step(sys: SystemDef, state: Iterable[int]) -> list[tuple[CapabilityLabel, State]]:
+    """All capability transitions from one state, deterministically ordered.
 
-
-def step(sys: SystemDef, state: State) -> list[tuple[CapabilityLabel, State]]:
-    """All capability transitions from one state, deterministically ordered."""
-    moves = _Compiled(sys).moves(tuple(state))
-    return sorted(moves, key=lambda move: (move[1], move[0]))
+    Raises ``ValueError`` unless ``state`` gives every species a level
+    within ``0..max``, as every state of the model does.
+    """
+    compiled = _Compiled(sys)
+    state = tuple(state)
+    limits = compiled.limits
+    if len(state) != len(limits) or not all(0 <= x <= n for x, n in zip(state, limits)):
+        raise ValueError(f"{format_state(state)} is not a state of this model")
+    return sorted(compiled.moves(state), key=lambda move: (move[1], move[0]))
 
 
 def build_lts(sys: SystemDef, max_states: int = DEFAULT_STATE_CAP) -> Lts:
@@ -338,24 +350,30 @@ def build_lts(sys: SystemDef, max_states: int = DEFAULT_STATE_CAP) -> Lts:
     ``max_states`` raises instead of truncating.
     """
     compiled = _Compiled(sys)
+    moves = compiled.moves
     states: list[State] = [compiled.initial]
     index: dict[State, int] = {compiled.initial: 0}
     transitions: list[Transition] = []
-    src = 0
-    while src < len(states):
-        moves = compiled.moves(states[src])
-        fresh = [target for _, target in moves if target not in index]
-        for target in sorted(fresh):
-            if target not in index:  # two rows can reach one new state
-                if len(states) >= max_states:
-                    raise StateSpaceLimitError(max_states)
-                index[target] = len(states)
-                states.append(target)
+    append = transitions.append
+    # ``states`` grows while it is walked, and the walk reaches the new ones
+    for src, state in enumerate(states):
+        out = moves(state)
+        fresh = []
+        for _, target in out:
+            if target not in index:
+                fresh.append(target)
+        if fresh:
+            fresh.sort()
+            for target in fresh:
+                if target not in index:  # two rows can reach one new state
+                    if len(states) >= max_states:
+                        raise StateSpaceLimitError(max_states)
+                    index[target] = len(states)
+                    states.append(target)
         # rows differ in their participants, so the labels from one state
         # are distinct, and ``moves`` yields them in order
-        for label, target in moves:
-            transitions.append(_tuple_new(Transition, (src, label, index[target])))
-        src += 1
+        for label, target in out:
+            append(_tuple_new(Transition, (src, label, index[target])))
     return Lts(
         species_order=compiled.order,
         states=tuple(states),
@@ -388,18 +406,16 @@ def _filter_entry(e: LabelEntry, cfg: EquivConfig) -> LabelEntry | None:
 
 class _Filtered(dict):
     """``filter_label`` under one configuration, by label, for one caller:
-    each distinct label is filtered once and each distinct entry once,
-    and equal filtered labels are one object.  A transition system has
-    far fewer distinct entries than labels, and far fewer labels than
-    transitions."""
+    each distinct label is filtered once and each distinct entry once.  A
+    transition system has far fewer distinct entries than labels, and far
+    fewer labels than transitions."""
 
-    __slots__ = ("cfg", "entries", "labels")
+    __slots__ = ("cfg", "entries")
 
     def __init__(self, cfg: EquivConfig):
         super().__init__()
         self.cfg = cfg
         self.entries: dict[LabelEntry, LabelEntry | None] = {}
-        self.labels: dict[tuple, CapabilityLabel] = {}
 
     def __missing__(self, label: CapabilityLabel) -> CapabilityLabel:
         entries = self.entries
@@ -409,11 +425,7 @@ class _Filtered(dict):
                 entries[e] = _filter_entry(e, self.cfg)
             kept.add(entries[e])
         kept.discard(None)
-        key = (label.action, tuple(sorted(kept)))
-        out = self.labels.get(key)
-        if out is None:
-            out = self.labels[key] = _tuple_new(CapabilityLabel, key)
-        self[label] = out
+        out = self[label] = _tuple_new(CapabilityLabel, (label.action, tuple(sorted(kept))))
         return out
 
 

@@ -331,8 +331,9 @@ class TestBuildAgainstOracle:
 
 class TestGeneratedStep:
     """``_Compiled.moves`` is Python source generated from the table: no
-    name a model chooses reaches that source, and a table that is only
-    read for its stoichiometry generates nothing."""
+    name a model chooses reaches that source, guards leave out the level
+    bounds every state meets, and a table that is only read for its
+    stoichiometry generates nothing."""
 
     def test_names_of_the_generated_identifiers(self):
         sys = parse_model(
@@ -361,20 +362,27 @@ class TestGeneratedStep:
         assert build_lts(sys).n_transitions > 0
         TestBuildAgainstOracle.assert_same(sys)
 
-    def test_one_shape_is_compiled_once(self):
-        # equal guards and changes, other names and initial levels
-        text = (
-            "max {a} = 77;\nmax {b} = 5;\n"
-            "species {a} = (r,1) << {a};\nspecies {b} = (r,1) >> {b};\n"
-            "system = {a}[{n}] <*> {b}[0];\n"
+    def test_guards_at_the_level_bounds_are_left_out(self):
+        # h's participants are an inhibitor and a generic modifier, which
+        # take part at every level, so its row compares nothing
+        sys = parse_model(
+            "max A = 3;\nmax B = 2;\nmax C = 2;\n"
+            "species A = (h,1) (-) A + (g,1) >> A;\n"
+            "species B = (h,1) (.) B + (g,2) << B + (f,1) >> B;\n"
+            "species C = (g,1) (+) C + (f,1) << C;\n"
+            "system = A[0] <*> B[2] <*> C[2];\n"
         )
-        first = parse_model(text.format(a="A", b="B", n=9))
-        second = parse_model(text.format(a="C", b="D", n=4))
-        compiled = semantics._code.cache_info().misses
-        for state in build_lts(first).states:
-            step(first, state)
-        assert build_lts(second).n_states == 5
-        assert semantics._code.cache_info().misses == compiled + 1
+        lts = build_lts(sys)
+        assert sum(t.label.action == "h" for t in lts.transitions) == lts.n_states
+        TestBuildAgainstOracle.assert_same(sys)
+        TestStepAgainstTreeOracle.assert_agrees(sys)
+
+    def test_step_takes_only_states_of_the_model(self):
+        sys = inhibition_full(5, 3, 1)
+        assert len(step(sys, [5, 3, 1, 0, 0, 0])) == 2
+        for state in [(6, 3, 1, 0, 0, 0), (5, -1, 1, 0, 0, 0), (5, 3, 1, 0, 0)]:
+            with pytest.raises(ValueError, match="is not a state of this model"):
+                step(sys, state)
 
     def test_stoichiometry_alone_generates_nothing(self, monkeypatch):
         def generate(*args):
