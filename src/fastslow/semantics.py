@@ -406,16 +406,22 @@ def _filter_entry(e: LabelEntry, cfg: EquivConfig) -> LabelEntry | None:
 
 class _Filtered(dict):
     """``filter_label`` under one configuration, by label, for one caller:
-    each distinct label is filtered once and each distinct entry once.  A
-    transition system has far fewer distinct entries than labels, and far
-    fewer labels than transitions."""
+    each distinct label is filtered once and each distinct entry once,
+    and equal filtered labels are one object.  A transition system has
+    far fewer distinct entries than labels, and far fewer labels than
+    transitions.  One object per filtered label leaves the cyclic
+    collector far fewer live objects to walk (124 instead of 28,962 on
+    inhibition (120,15,6) under ``delta: P``); a new object per label
+    made ``WeakViews`` there 10 % to twice as slow, the more so the more
+    the process holds."""
 
-    __slots__ = ("cfg", "entries")
+    __slots__ = ("cfg", "entries", "labels")
 
     def __init__(self, cfg: EquivConfig):
         super().__init__()
         self.cfg = cfg
         self.entries: dict[LabelEntry, LabelEntry | None] = {}
+        self.labels: dict[tuple, CapabilityLabel] = {}
 
     def __missing__(self, label: CapabilityLabel) -> CapabilityLabel:
         entries = self.entries
@@ -425,7 +431,11 @@ class _Filtered(dict):
                 entries[e] = _filter_entry(e, self.cfg)
             kept.add(entries[e])
         kept.discard(None)
-        out = self[label] = _tuple_new(CapabilityLabel, (label.action, tuple(sorted(kept))))
+        key = (label.action, tuple(sorted(kept)))
+        out = self.labels.get(key)
+        if out is None:
+            out = self.labels[key] = _tuple_new(CapabilityLabel, key)
+        self[label] = out
         return out
 
 

@@ -362,7 +362,7 @@ class TestGeneratedStep:
         assert build_lts(sys).n_transitions > 0
         TestBuildAgainstOracle.assert_same(sys)
 
-    def test_guards_at_the_level_bounds_are_left_out(self):
+    def test_a_row_with_no_bound_to_test_fires_at_every_state(self):
         # h's participants are an inhibitor and a generic modifier, which
         # take part at every level, so its row compares nothing
         sys = parse_model(
