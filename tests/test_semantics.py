@@ -361,6 +361,9 @@ class TestGeneratedStep:
         sys = SystemDef(species, chain(*(Leaf(name, 1) for name in odd)))
         assert build_lts(sys).n_transitions > 0
         TestBuildAgainstOracle.assert_same(sys)
+        # the names reach the function through its namespace, never as literals
+        consts = semantics._Compiled(sys).moves.__code__.co_consts
+        assert all(c is None or type(c) is int for c in consts)
 
     def test_a_row_with_no_bound_to_test_fires_at_every_state(self):
         # h's participants are an inhibitor and a generic modifier, which
