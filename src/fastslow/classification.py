@@ -29,8 +29,10 @@ from typing import Iterable
 from . import rational
 from .equivalence import (
     CheckOutcome,
+    RelationResolutionError,
     check_fast_slow_relation,
     check_slow_relation,
+    index_pairs,
     relation_verdict,
 )
 from .model import EquivConfig, SystemDef
@@ -457,18 +459,10 @@ def shortcut_check(
     lts_b = build_lts(sys_b, max_states=max_states)
     t_a = transform_lts(lts_a, cls_a)
     t_b = transform_lts(lts_b, cls_b)
-    lifted = set()
-    for coords_a, coords_b in pairs:
-        try:
-            ia = t_a.index_of(coords_a)
-        except KeyError:
-            raise ShortcutLiftError(coords_a, "first-model") from None
-        try:
-            ib = t_b.index_of(coords_b)
-        except KeyError:
-            raise ShortcutLiftError(coords_b, "second-model") from None
-        lifted.add((ia, ib))
-    rel = frozenset(lifted)
+    try:
+        rel = index_pairs(pairs, t_a, t_b)
+    except RelationResolutionError as exc:
+        raise ShortcutLiftError(exc.vector, exc.side) from None
     slow_outcome = fs = check_slow_relation(rel, t_a, t_b, cfg)
     if slow_outcome.equivalent:
         fs = check_fast_slow_relation(rel, lts_a, lts_b, cfg)

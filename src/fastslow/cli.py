@@ -7,9 +7,9 @@ slow-check shortcut), ``classify`` (conserved/slow/fast variables),
 ``extend`` (apply the species extension operator and print model text).
 
 Exit codes: 0 success or equivalent, 1 not equivalent (also a supplied
-bisimulation that leaves the initial states unrelated), 2 input error,
-3 state cap exceeded, 4 relation supplied but not a bisimulation,
-5 shortcut or classification preconditions unmet.
+bisimulation that leaves the initial states unrelated), 2 input error
+or a failed write, 3 state cap exceeded, 4 relation supplied but not a
+bisimulation, 5 shortcut or classification preconditions unmet.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -184,7 +185,7 @@ def cmd_check(args) -> int:
     )
 
     if pairs is not None:
-        rel = equivalence.resolve_relation(pairs, lts_a, lts_b)
+        rel = equivalence.index_pairs(pairs, lts_a, lts_b)
         outcome = equivalence.relation_verdict(check(rel, lts_a, lts_b, cfg), rel, lts_a, lts_b)
     else:
         rel, outcome = largest(lts_a, lts_b, cfg)
@@ -376,7 +377,9 @@ def main(argv: list[str] | None = None) -> int:
     ]
     args._input_paths = paths
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a failed write raises here, not at shutdown
+        return code
     except StateSpaceLimitError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_STATE_CAP
@@ -395,6 +398,11 @@ def main(argv: list[str] | None = None) -> int:
         classification.ClassificationError,
     ) as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # one without a file name is a write to standard output
+        print(f"{exc.filename or 'standard output'}: {exc.strerror or exc}", file=sys.stderr)
+        # the unwritten rest goes nowhere, so shutdown prints nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INPUT
 
 

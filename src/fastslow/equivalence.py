@@ -428,14 +428,16 @@ def read_pair(item) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def resolve_relation(pairs: Iterable, a: Lts, b: Lts) -> Relation:
-    """Turn pairs of level vectors into a relation over state indices.
+    """Turn pairs of level vectors, each read by ``read_pair``, into a
+    relation over state indices, as ``index_pairs`` does."""
+    return index_pairs(map(read_pair, pairs), a, b)
 
-    Each element is read by ``read_pair``; vectors that match no
-    reachable state are errors, never silently dropped.
-    """
+
+def index_pairs(pairs: Iterable[tuple[State, State]], a: Lts, b: Lts) -> Relation:
+    """The relation over state indices of pairs read by ``read_pair``; a
+    vector of no reachable state is an error, never silently dropped."""
     out = set()
-    for item in pairs:
-        va, vb = read_pair(item)
+    for va, vb in pairs:
         try:
             p = a.index_of(va)
         except KeyError:
@@ -451,8 +453,11 @@ def resolve_relation(pairs: Iterable, a: Lts, b: Lts) -> Relation:
 def relation_to_json(rel: Relation, a: Lts, b: Lts) -> str:
     """The relation as a JSON array of [first-vector, second-vector] pairs
     in ``sorted(rel)`` order, laid out as ``json.dumps(indent=2)`` lays it
-    out.  Each state's vector is rendered once."""
+    out.  Each state's vector is rendered once, and the document joined once."""
     left = {p: json_array(list(map(str, a.states[p])), "    ") for p in {p for p, _ in rel}}
     right = {q: json_array(list(map(str, b.states[q])), "    ") for q in {q for _, q in rel}}
-    pairs = [f"[\n    {left[p]},\n    {right[q]}\n  ]" for p, q in sorted(rel)]
-    return json_array(pairs, "")
+    pieces = ["["]
+    for p, q in sorted(rel):
+        pieces += ("\n  [\n    ", left[p], ",\n    ", right[q], "\n  ],")
+    pieces[-1] = "\n  ]\n]" if rel else "[]"
+    return "".join(pieces)

@@ -120,18 +120,20 @@ class Transition(NamedTuple):
 
 @dataclass(frozen=True)
 class Lts:
-    """Explicit transition system over the derivative set of the initial state."""
+    """Explicit transition system over the derivative set of the initial
+    state; the first ``index_of`` builds its index of states."""
 
     species_order: tuple[str, ...]
     states: tuple[State, ...]
     initial: int
     transitions: tuple[Transition, ...]
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def _index(self) -> dict[State, int]:
         index = {s: i for i, s in enumerate(self.states)}
         if len(index) != len(self.states):
             raise ValueError("duplicate states in transition system")
-        object.__setattr__(self, "_index", index)
+        return index
 
     @property
     def n_states(self) -> int:
@@ -143,7 +145,7 @@ class Lts:
 
     def index_of(self, state: Iterable[int]) -> int:
         key = tuple(state)
-        idx = self._index.get(key)  # type: ignore[attr-defined]
+        idx = self._index.get(key)
         if idx is None:
             raise KeyError(f"state {key} is not reachable in this system")
         return idx
@@ -635,50 +637,35 @@ def lts_to_json(lts: Lts) -> str:
     """``json.dumps(lts_to_dict(lts), indent=2)``, written without the
     pure-Python encoder that ``indent`` selects.
 
-    Each distinct entry and label is rendered once, and each action's
-    head once; a label becomes a ``%`` template, so a transition costs
-    one substitution of its source and target.  The document is made by
-    one join over the transitions.
+    Each distinct entry is rendered once, and so is each distinct label's
+    body, from its ``"action"`` through the ``"dst": `` key.  A
+    transition adds its source, its label's body and its target to one
+    list of pieces, which is joined once into the document.
     """
-    entries: dict[LabelEntry, str] = {}
-    heads: dict[str, str] = {}
-    templates: dict[CapabilityLabel, str] = {}
-    transitions = []
-    for src, label, dst in lts.transitions:
-        template = templates.get(label)
-        if template is None:
-            head = heads.get(label.action)
-            if head is None:
-                action = _json_str(label.action).replace("%", "%%")
-                head = heads[label.action] = (
-                    '{\n      "src": %d,\n      "action": ' + action + ',\n      "entries": '
-                )
-            rendered = []
-            for e in label.entries:
-                text = entries.get(e)
-                if text is None:
-                    text = entries[e] = _entry_json(e).replace("%", "%%")
-                rendered.append(text)
-            template = templates[label] = (
-                head + json_array(rendered, "      ") + ',\n      "dst": %d\n    }'
-            )
-        transitions.append(template % (src, dst))
     species = [_json_str(name) for name in lts.species_order]
     states = [json_array(list(map(str, s)), "    ") for s in lts.states]
-    head = (
-        "{\n"
-        f'  "species": {json_array(species, "  ")},\n'
-        f'  "states": {json_array(states, "  ")},\n'
-        f'  "initial": {lts.initial},\n'
-        '  "transitions": '
-    )
-    if not transitions:
-        return head + "[]\n}"
-    # the document's head and tail ride on the first and last transition,
-    # so the whole document is one join and never copied again
-    transitions[0] = head + "[\n    " + transitions[0]
-    transitions[-1] += "\n  ]\n}"
-    return ",\n    ".join(transitions)
+    pieces = [
+        "{\n",
+        f'  "species": {json_array(species, "  ")},\n',
+        f'  "states": {json_array(states, "  ")},\n',
+        f'  "initial": {lts.initial},\n',
+        '  "transitions": ',
+        "[",
+    ]
+    entries: dict[LabelEntry, str] = {}
+    bodies: dict[CapabilityLabel, str] = {}
+    for src, label, dst in lts.transitions:
+        body = bodies.get(label)
+        if body is None:
+            rendered = [entries.get(e) or entries.setdefault(e, _entry_json(e)) for e in label.entries]
+            body = bodies[label] = (
+                f',\n      "action": {_json_str(label.action)},\n'
+                f'      "entries": {json_array(rendered, "      ")},\n      "dst": '
+            )
+        pieces += ('\n    {\n      "src": ', str(src), body, str(dst), "\n    },")
+    # the last piece closes the last transition, or is the "[" of none
+    pieces[-1] = "\n    }\n  ]\n}" if lts.transitions else "[]\n}"
+    return "".join(pieces)
 
 
 def lts_to_dot(lts: Lts, cfg: EquivConfig | None = None) -> str:
@@ -703,5 +690,5 @@ def lts_to_dot(lts: Lts, cfg: EquivConfig | None = None) -> str:
                 inner = " ".join(map(str, shown.entries))
                 text = texts[shown] = f"{label.action}; {{{inner}}}"
         lines.append(f'  {src} -> {dst} [label="{text}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)

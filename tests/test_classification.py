@@ -31,6 +31,7 @@ from fastslow import (
 )
 from fastslow import rational
 from fastslow.classification import (
+    ShortcutLiftError,
     ShortcutPreconditionError,
     block_shape_ok,
     unit_species,
@@ -389,6 +390,13 @@ class TestShortcut:
                 [((0, 0, 0), (1,))],
             )
         assert any("slow coordinates" in r for r in err.value.reasons)
+
+    def test_unreachable_coordinates_rejected(self):
+        message = r"^no reachable first-model state has transformed coordinates \(9, 0, 0\)$"
+        with pytest.raises(ShortcutLiftError, match=message):
+            shortcut_check(
+                inhibition_full(5, 3, 0), inhibition_reduced(5, 3, 0), CFG, [((9, 0, 0), (9,))]
+            )
 
     def test_cross_validation_against_untransformed(self):
         params = (3, 2, 2)

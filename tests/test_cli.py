@@ -13,8 +13,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import fastslow
+from fastslow import equivalence
 from fastslow.cli import main
-from systems import inhibition_relation, inhibition_relation_transformed
+from fastslow.parser import render_model
+from systems import inhibition_full, inhibition_relation, inhibition_relation_transformed
 
 ONE_SPECIES = "max A = 2;\nspecies A = (r,1) << A;\n"
 DEEP_PARENTHESES = ONE_SPECIES + "system = " + "(" * 3000 + "A[1]" + ")" * 3000 + ";\n"
@@ -244,6 +246,21 @@ class TestCheckCommand:
         )
         assert code == 0
         assert "verdict: equivalent" in out
+
+    @pytest.mark.parametrize("mode", ["fast-slow", "slow"])
+    def test_supplied_relation_is_read_once(self, fixtures, capsys, tmp_path, monkeypatch, mode):
+        pairs = [[list(a), list(b)] for a, b in inhibition_relation(5, 3, 0)]
+        calls = []
+        read_pair = equivalence.read_pair
+
+        def counted(item):
+            calls.append(item)
+            return read_pair(item)
+
+        monkeypatch.setattr(equivalence, "read_pair", counted)
+        code, out, _ = check_relation(fixtures, capsys, tmp_path, json.dumps(pairs), "--mode", mode)
+        assert (code, out) == (0, "verdict: equivalent\n")
+        assert len(calls) == len(pairs)
 
     def test_bad_relation_exits_4(self, fixtures, capsys, tmp_path):
         rel_path = tmp_path / "rel.json"
@@ -525,6 +542,48 @@ class TestCheckCommand:
         assert report["verdict"] == "equivalent"
         assert "timing_ms" not in report
         assert len(report["inputs"]) == 3
+
+
+class TestStandardOutputFailure:
+    """A write to standard output that fails is reported in one line and
+    exits 2, like a failed ``--out``; exit 1 would read as not equivalent."""
+
+    @staticmethod
+    def command(*argv: str) -> list[str]:
+        return [sys.executable, "-m", "fastslow.cli", *map(str, argv)]
+
+    @staticmethod
+    def env() -> dict[str, str]:
+        return dict(os.environ, PYTHONPATH=str(Path(fastslow.__file__).parents[1]))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_report_to_a_full_device_exits_2(self, fixtures):
+        argv = self.command(
+            "check",
+            fixtures / "inhibition_full.bp",
+            fixtures / "inhibition_reduced.bp",
+            "--config",
+            fixtures / "inhibition.cfg",
+            "--json",
+        )
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=self.env())
+        assert (done.returncode, done.stderr) == (2, b"standard output: No space left on device\n")
+
+    def test_lts_into_a_pipe_closed_early_exits_2(self, tmp_path):
+        # about 0.7 MB of JSON, more than a pipe holds
+        (tmp_path / "m.bp").write_text(render_model(inhibition_full(30, 5, 2)))
+        reader = subprocess.Popen(
+            self.command("lts", tmp_path / "m.bp"),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=self.env(),
+        )
+        assert reader.stdout.read(100).startswith(b'{\n  "species": [')
+        reader.stdout.close()
+        err = reader.stderr.read()
+        reader.stderr.close()
+        assert (reader.wait(), err) == (2, b"standard output: Broken pipe\n")
 
 
 class TestClassifyCommand:

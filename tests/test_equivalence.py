@@ -28,6 +28,7 @@ from fastslow import (
 )
 from fastslow.equivalence import (
     EquivalenceError,
+    RelationFormatError,
     RelationResolutionError,
     config_problems,
 )
@@ -481,6 +482,13 @@ class TestRelationIO:
         a, b = inhibition_lts_pair(2, 1, 0)
         with pytest.raises(RelationResolutionError):
             resolve_relation([[(9, 9, 9, 9, 9, 9), (2, 1, 0, 0)]], a, b)
+
+    @pytest.mark.parametrize("level", [5.0, True])
+    def test_non_integer_level_is_refused(self, level):
+        # read, never coerced: 5.0 and True hash and compare as 5 and 1
+        a, b = inhibition_lts_pair(5, 3, 0)
+        with pytest.raises(RelationFormatError):
+            resolve_relation([[[level, 3, 0, 0, 0, 0], [5, 3, 0, 0]]], a, b)
 
     def test_config_problems(self):
         a, b = inhibition_full(2, 1, 0), inhibition_reduced(2, 1, 0)

@@ -12,6 +12,7 @@ from fastslow import (
     EquivConfig,
     LabelEntry,
     Leaf,
+    Lts,
     Node,
     Prefix,
     Role,
@@ -126,6 +127,13 @@ class TestBuildLts:
         for t in lts.transitions:
             by_action[t.label.action] = by_action.get(t.label.action, 0) + 1
         assert by_action == {"b1": 12, "bm1": 12, "g": 12}
+
+    def test_repeated_state_is_refused_when_looked_up(self):
+        # the state index is built by the first lookup, not by the constructor
+        lts = Lts(("A",), ((0,), (1,), (0,)), 0, ())
+        assert lts.n_states == 3
+        with pytest.raises(ValueError, match="^duplicate states in transition system$"):
+            lts.index_of((1,))
 
     def test_reduced_system_chain(self):
         lts = build_lts(inhibition_reduced(5, 3, 0))

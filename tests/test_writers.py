@@ -12,6 +12,7 @@ system is ``lts_to_dict``, and for a relation the list of
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -33,11 +34,12 @@ from fastslow import (
     lts_to_dict,
     lts_to_dot,
     lts_to_json,
+    parse_config,
     relation_to_json,
 )
 from oracles import dot_oracle
 from randgen import random_case
-from systems import inhibition_config, inhibition_full, inhibition_reduced
+from systems import inhibition_config, inhibition_full, inhibition_reduced, pathway
 
 CASES = 300  # two systems per case, in each of the two cooperation modes
 
@@ -147,16 +149,59 @@ def test_non_ascii_species_is_escaped():
 
 
 def test_percent_and_quotes_in_hand_built_names():
-    # the model language allows neither, but the writer must not read a
-    # name as part of its substitution template
-    label = CapabilityLabel('r%d"', (LabelEntry('A%s\\', Role.GENERIC, 1, 1),))
+    # the model language allows neither, but no writer may read a name
+    # as a format string; one label is shared by transitions whose
+    # indices cross a digit boundary
+    names = ('A%s\\', "B%%", "C%(x)s", 'D%d"')
+    label = CapabilityLabel(
+        'r%d%%%(x)s"', tuple(LabelEntry(name, Role.GENERIC, 1, 1) for name in names)
+    )
+    ends = [(0, 0), (9, 10), (99, 100), (100, 9)]
     lts = Lts(
-        species_order=('A%s\\',),
-        states=((1,),),
+        species_order=names,
+        states=tuple((1, 1, 1, i) for i in range(101)),
         initial=0,
-        transitions=(Transition(0, label, 0),),
+        transitions=tuple(Transition(src, label, dst) for src, dst in ends),
     )
     assert lts_to_json(lts) == lts_reference(lts)
-    cfg = EquivConfig(frozenset(), frozenset(), frozenset({"B%d"}), {"A%s\\": "B%d"})
+    cfg = EquivConfig(frozenset(), frozenset(), frozenset({"E%d"}), {"A%s\\": "E%d", "C%(x)s": "E%d"})
     assert lts_to_dot(lts) == dot_oracle(lts)
     assert lts_to_dot(lts, cfg) == dot_oracle(lts, cfg)
+
+
+def traced_peak(write) -> tuple[int, str]:
+    """The ``tracemalloc`` peak while ``write()`` runs, counting the
+    document it returns, and that document."""
+    tracemalloc.start()
+    try:
+        document = write()
+        return tracemalloc.get_traced_memory()[1], document
+    finally:
+        tracemalloc.stop()
+
+
+# A writer holds the pieces of its document until one join.  A copy of
+# a label's rendering per transition (a template filled in per edge), or
+# one string per pair, holds about as much again as the document.
+
+
+def test_lts_to_json_holds_little_beyond_its_document():
+    lts = build_lts(inhibition_full(60, 6, 3))
+    peak, document = traced_peak(lambda: lts_to_json(lts))
+    assert peak < 2.5 * len(document)
+
+
+def test_lts_to_dot_holds_little_beyond_its_document(fixtures):
+    lts = build_lts(inhibition_full(60, 6, 3))
+    cfg = parse_config((fixtures / "inhibition.cfg").read_text())
+    peak, document = traced_peak(lambda: lts_to_dot(lts, cfg))
+    assert peak < 5.0 * len(document)
+
+
+def test_relation_to_json_holds_little_beyond_its_document():
+    model, cfg = pathway(3, 4)
+    lts = build_lts(model)
+    rel, _ = largest_slow(lts, lts, cfg)
+    assert len(rel) == 6061
+    peak, document = traced_peak(lambda: relation_to_json(rel, lts, lts))
+    assert peak < 2.0 * len(document)
