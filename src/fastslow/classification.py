@@ -326,7 +326,8 @@ def block_shape_ok(m: StoichMatrix, cfg: EquivConfig, cls: VariableClassificatio
 
 
 def transform_lts(lts: Lts, cls: VariableClassification) -> Lts:
-    """Rewrite states to (slow, fast) coordinates, keeping transitions.
+    """Rewrite states to (slow, fast) coordinates, sharing the transition
+    columns.
 
     Conserved coordinates are constant on the reachable states and are
     dropped.  The map must be injective on the reachable states; a
@@ -343,12 +344,7 @@ def transform_lts(lts: Lts, cls: VariableClassification) -> Lts:
             raise StateCollisionError(seen[coords], state)
         seen[coords] = state
         new_states.append(coords)
-    return Lts(
-        species_order=cls.coordinate_names(),
-        states=tuple(new_states),
-        initial=lts.initial,
-        transitions=lts.transitions,
-    )
+    return replace(lts, species_order=cls.coordinate_names(), states=tuple(new_states))
 
 
 def slow_sufficiency(

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterable, NamedTuple
 
@@ -60,7 +61,8 @@ from .model import (
 DEFAULT_STATE_CAP = 1_000_000
 
 # A named tuple's generated ``__new__`` is a Python call; ``tuple.__new__``
-# makes the same object without it, once per label and per transition.
+# makes the same object without it, once per label, and once per
+# transition of an ``Lts.transitions`` view.
 _tuple_new = tuple.__new__
 
 State = tuple[int, ...]
@@ -113,6 +115,8 @@ class CapabilityLabel(NamedTuple):
 
 
 class Transition(NamedTuple):
+    """One transition of an ``Lts``, as its ``transitions`` view lists it."""
+
     src: int
     label: CapabilityLabel
     dst: int
@@ -121,12 +125,35 @@ class Transition(NamedTuple):
 @dataclass(frozen=True)
 class Lts:
     """Explicit transition system over the derivative set of the initial
-    state; the first ``index_of`` builds its index of states."""
+    state, its transitions held in three flat columns.
+
+    State ``s``'s transitions are ``labels[starts[s]:starts[s + 1]]``, in
+    label order, and the same slice of ``targets`` holds their target
+    state indices.  ``starts`` has one offset per state and then the
+    number of transitions.  Equal labels are one shared object, so a
+    transition costs a slot in each column and no object of its own.
+
+    ``transitions`` lists the same system as ``Transition`` tuples, in
+    source order; it is made on first access, for library callers, and
+    no path of this package reads it.  The first ``index_of`` builds the
+    index of states.
+    """
 
     species_order: tuple[str, ...]
     states: tuple[State, ...]
     initial: int
-    transitions: tuple[Transition, ...]
+    starts: tuple[int, ...]
+    labels: tuple[CapabilityLabel, ...]
+    targets: tuple[int, ...]
+
+    def __post_init__(self):
+        starts = self.starts
+        if not (
+            len(starts) == len(self.states) + 1
+            and starts[0] == 0
+            and starts[-1] == len(self.labels) == len(self.targets)
+        ):
+            raise ValueError("transition columns do not match the states")
 
     @cached_property
     def _index(self) -> dict[State, int]:
@@ -135,13 +162,22 @@ class Lts:
             raise ValueError("duplicate states in transition system")
         return index
 
+    @cached_property
+    def transitions(self) -> tuple[Transition, ...]:
+        starts, labels, targets = self.starts, self.labels, self.targets
+        return tuple(
+            _tuple_new(Transition, (src, labels[i], targets[i]))
+            for src in range(len(self.states))
+            for i in range(starts[src], starts[src + 1])
+        )
+
     @property
     def n_states(self) -> int:
         return len(self.states)
 
     @property
     def n_transitions(self) -> int:
-        return len(self.transitions)
+        return len(self.labels)
 
     def index_of(self, state: Iterable[int]) -> int:
         key = tuple(state)
@@ -151,7 +187,7 @@ class Lts:
         return idx
 
     def actions(self) -> frozenset[str]:
-        return frozenset(t.label.action for t in self.transitions)
+        return frozenset(label.action for label in self.labels)
 
 
 class _Entries(dict):
@@ -347,18 +383,20 @@ def build_lts(sys: SystemDef, max_states: int = DEFAULT_STATE_CAP) -> Lts:
 
     State indexing is deterministic: discovery order, with the new
     successors of each state numbered in lexicographic order.
-    Transitions are ordered by source, label and target; ``moves``
-    already yields each state's labels in order.  Exceeding
-    ``max_states`` raises instead of truncating.
+    Each state's transitions go to the label and target columns in label
+    order, which is the order ``moves`` yields them in, and its end
+    offset to ``starts``.  Exceeding ``max_states`` raises instead of
+    truncating.
     """
     compiled = _Compiled(sys)
     moves = compiled.moves
     states: list[State] = [compiled.initial]
     index: dict[State, int] = {compiled.initial: 0}
-    transitions: list[Transition] = []
-    append = transitions.append
+    starts = [0]
+    labels: list[CapabilityLabel] = []
+    targets: list[int] = []
     # ``states`` grows while it is walked, and the walk reaches the new ones
-    for src, state in enumerate(states):
+    for state in states:
         out = moves(state)
         fresh = []
         for _, target in out:
@@ -374,13 +412,16 @@ def build_lts(sys: SystemDef, max_states: int = DEFAULT_STATE_CAP) -> Lts:
                     states.append(target)
         # rows differ in their participants, so the labels from one state
         # are distinct, and ``moves`` yields them in order
-        for label, target in out:
-            append(_tuple_new(Transition, (src, label, index[target])))
+        labels += [label for label, _ in out]
+        targets += [index[target] for _, target in out]
+        starts.append(len(labels))
     return Lts(
         species_order=compiled.order,
         states=tuple(states),
         initial=0,
-        transitions=tuple(transitions),
+        starts=tuple(starts),
+        labels=tuple(labels),
+        targets=tuple(targets),
     )
 
 
@@ -487,9 +528,9 @@ class WeakViews:
 
     The fast step relation drops labels entirely (one edge per state
     pair; ``fast_step_actions``, for diagnostics only, reads the action
-    names off the Lts).  The slow strong view keeps the filtered label, which
-    holds the action, and is keyed by it.  The weak slow view chains fast
-    closure around one slow step.
+    names off the source state's transitions).  The slow strong view
+    keeps the filtered label, which holds the action, and is keyed by
+    it.  The weak slow view chains fast closure around one slow step.
 
     Only the graph of the fast strongly connected components (SCCs) is
     built up front: ``scc`` maps each state to its SCC, ``members`` each
@@ -503,24 +544,35 @@ class WeakViews:
     def __init__(self, lts: Lts, cfg: EquivConfig):
         self.lts = lts
         self.cfg = cfg
-        fast_succ: list[set[int]] = [set() for _ in lts.states]
-        slow: list[list[tuple[CapabilityLabel, int]]] = [[] for _ in lts.states]
+        fast_actions, slow_actions = cfg.fast, cfg.slow
+        fast_succ: list[tuple[int, ...]] = []
+        slow: list[tuple[tuple[CapabilityLabel, int], ...]] = []
         unpartitioned = set()
         filtered = _Filtered(cfg)
-        for t in lts.transitions:
-            action = t.label.action
-            if action in cfg.fast:
-                fast_succ[t.src].add(t.dst)
-            elif action in cfg.slow:
-                move = (filtered[t.label], t.dst)
-                if move not in slow[t.src]:
-                    slow[t.src].append(move)
-            else:
-                unpartitioned.add(action)
+        # one pass over both columns, taken state by state
+        steps_of = zip(lts.labels, lts.targets)
+        lo = 0
+        for hi in lts.starts[1:]:
+            steps: set[int] = set()
+            moves: list[tuple[CapabilityLabel, int]] = []
+            # an action name hashes once; a label only for a slow move
+            for label, dst in islice(steps_of, hi - lo):
+                action = label.action
+                if action in fast_actions:
+                    steps.add(dst)
+                elif action in slow_actions:
+                    move = (filtered[label], dst)
+                    if move not in moves:
+                        moves.append(move)
+                else:
+                    unpartitioned.add(action)
+            lo = hi
+            fast_succ.append(tuple(sorted(steps)))
+            slow.append(tuple(moves))
         if unpartitioned:
             raise UnpartitionedActionError(min(unpartitioned))
-        self._fast_succ = tuple(tuple(sorted(s)) for s in fast_succ)
-        self._slow = tuple(tuple(moves) for moves in slow)
+        self._fast_succ = tuple(fast_succ)
+        self._slow = tuple(slow)
         self.scc = scc = _fast_sccs(self._fast_succ)
         self.members: list[list[int]] = [[] for _ in range(max(scc, default=-1) + 1)]
         for s, c in enumerate(scc):
@@ -552,9 +604,11 @@ class WeakViews:
 
     def fast_step_actions(self, src: int, dst: int) -> tuple[str, ...]:
         """The fast actions of the steps from ``src`` to ``dst``, sorted;
-        a scan of every transition, for diagnostics."""
-        steps = self.lts.transitions
-        actions = {t.label.action for t in steps if t.src == src and t.dst == dst}
+        a scan of ``src``'s transitions, for diagnostics."""
+        lts = self.lts
+        lo, hi = lts.starts[src], lts.starts[src + 1]
+        steps = zip(lts.labels[lo:hi], lts.targets[lo:hi])
+        actions = {label.action for label, target in steps if target == dst}
         return tuple(sorted(actions & self.cfg.fast))
 
     def fast_closure(self, state: int) -> frozenset[int]:
@@ -638,10 +692,14 @@ def lts_to_json(lts: Lts) -> str:
     pure-Python encoder that ``indent`` selects.
 
     Each distinct entry is rendered once, and so is each distinct label's
-    body, from its ``"action"`` through the ``"dst": `` key.  A
-    transition adds its source, its label's body and its target to one
-    list of pieces, which is joined once into the document.
+    body, from its ``"action"`` through the ``"dst": `` key.  Each state
+    index is rendered once, and each source's head (the end of the
+    transition before, the opening brace and ``"src"``) once per state.
+    A transition adds its source's head, its label's body and its
+    target's index to one list of pieces, which is joined once into the
+    document.
     """
+    names = [str(i) for i in range(lts.n_states)]
     species = [_json_str(name) for name in lts.species_order]
     states = [json_array(list(map(str, s)), "    ") for s in lts.states]
     pieces = [
@@ -649,22 +707,32 @@ def lts_to_json(lts: Lts) -> str:
         f'  "species": {json_array(species, "  ")},\n',
         f'  "states": {json_array(states, "  ")},\n',
         f'  "initial": {lts.initial},\n',
-        '  "transitions": ',
-        "[",
+        '  "transitions": [',
     ]
+    first = len(pieces)
+    starts, labels, targets = lts.starts, lts.labels, lts.targets
     entries: dict[LabelEntry, str] = {}
     bodies: dict[CapabilityLabel, str] = {}
-    for src, label, dst in lts.transitions:
-        body = bodies.get(label)
-        if body is None:
-            rendered = [entries.get(e) or entries.setdefault(e, _entry_json(e)) for e in label.entries]
-            body = bodies[label] = (
-                f',\n      "action": {_json_str(label.action)},\n'
-                f'      "entries": {json_array(rendered, "      ")},\n      "dst": '
-            )
-        pieces += ('\n    {\n      "src": ', str(src), body, str(dst), "\n    },")
-    # the last piece closes the last transition, or is the "[" of none
-    pieces[-1] = "\n    }\n  ]\n}" if lts.transitions else "[]\n}"
+    for src, name in enumerate(names):
+        lo, hi = starts[src], starts[src + 1]
+        if lo == hi:
+            continue
+        head = '\n    },\n    {\n      "src": ' + name
+        for label, dst in zip(labels[lo:hi], targets[lo:hi]):
+            body = bodies.get(label)
+            if body is None:
+                rendered = [entries.get(e) or entries.setdefault(e, _entry_json(e)) for e in label.entries]
+                body = bodies[label] = (
+                    f',\n      "action": {_json_str(label.action)},\n'
+                    f'      "entries": {json_array(rendered, "      ")},\n      "dst": '
+                )
+            pieces += (head, body, names[dst])
+    if len(pieces) == first:
+        pieces.append("]\n}")
+    else:
+        # the first transition closes none before it
+        pieces[first] = pieces[first][len("\n    },") :]
+        pieces.append("\n    }\n  ]\n}")
     return "".join(pieces)
 
 
@@ -672,23 +740,35 @@ def lts_to_dot(lts: Lts, cfg: EquivConfig | None = None) -> str:
     """Graphviz rendering: level-vector nodes, action-labelled edges.
 
     With a configuration, edges also show the filtered label entries;
-    each distinct filtered label is rendered once.
+    each distinct filtered label is rendered once.  Each state index is
+    rendered once, and so is each source's head; an edge adds its
+    source's head, its target's index and its label's text to one list
+    of pieces, which is joined once into the document.
     """
-    lines = ["digraph lts {", "  rankdir=LR;", "  node [shape=box];"]
+    names = [str(i) for i in range(lts.n_states)]
+    pieces = ["digraph lts {\n  rankdir=LR;\n  node [shape=box];\n"]
     for i, state in enumerate(lts.states):
         shape = ' peripheries=2' if i == lts.initial else ""
-        lines.append(f'  {i} [label="{format_state(state)}"{shape}];')
+        pieces.append(f'  {names[i]} [label="{format_state(state)}"{shape}];\n')
+    starts, labels, targets = lts.starts, lts.labels, lts.targets
     filtered = None if cfg is None else _Filtered(cfg)
-    texts: dict[CapabilityLabel, str] = {}
-    for src, label, dst in lts.transitions:
-        if filtered is None:
-            text = label.action
-        else:
-            shown = filtered[label]
-            text = texts.get(shown)
-            if text is None:
-                inner = " ".join(map(str, shown.entries))
-                text = texts[shown] = f"{label.action}; {{{inner}}}"
-        lines.append(f'  {src} -> {dst} [label="{text}"];')
-    lines.append("}\n")
-    return "\n".join(lines)
+    # an edge's label text, by action, or by filtered label under a
+    # configuration
+    tails: dict = {}
+    for src, name in enumerate(names):
+        lo, hi = starts[src], starts[src + 1]
+        if lo == hi:
+            continue
+        head = f"  {name} -> "
+        for label, dst in zip(labels[lo:hi], targets[lo:hi]):
+            key = label.action if filtered is None else filtered[label]
+            tail = tails.get(key)
+            if tail is None:
+                text = label.action
+                if filtered is not None:
+                    inner = " ".join(map(str, key.entries))
+                    text = f"{text}; {{{inner}}}"
+                tail = tails[key] = f' [label="{text}"];\n'
+            pieces += (head, names[dst], tail)
+    pieces.append("}\n")
+    return "".join(pieces)

@@ -178,7 +178,23 @@ def build_lts_oracle(sys: SystemDef) -> Lts:
         for label, target in sorted(moves):
             transitions.append(Transition(src, label, index[target]))
         src += 1
-    return Lts(sys.species_order, tuple(states), 0, tuple(transitions))
+    return lts_from_transitions(sys.species_order, states, 0, transitions)
+
+
+def lts_from_transitions(species_order, states, initial: int, transitions) -> Lts:
+    """The ``Lts`` of a list of ``Transition``s: each state's transitions,
+    in the order given, are its slice of the label and target columns."""
+    by_source = [[] for _ in states]
+    for t in transitions:
+        by_source[t.src].append(t)
+    starts, labels, targets = [0], [], []
+    for moves in by_source:
+        labels += [t.label for t in moves]
+        targets += [t.dst for t in moves]
+        starts.append(len(labels))
+    return Lts(
+        tuple(species_order), tuple(states), initial, tuple(starts), tuple(labels), tuple(targets)
+    )
 
 
 def dot_oracle(lts: Lts, cfg: EquivConfig | None = None) -> str:

@@ -6,6 +6,7 @@ number, so the suites are reproducible run to run.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from fastslow import (
@@ -24,6 +25,7 @@ from fastslow import (
 )
 from fastslow.model import tree_leaves
 from fastslow.semantics import Lts, Transition
+from oracles import lts_from_transitions
 
 ROLES = [
     Role.REACTANT,
@@ -154,7 +156,7 @@ def hand_lts(n: int, edges) -> Lts:
     transitions = tuple(
         Transition(src, CapabilityLabel(action, ()), dst) for src, action, dst in sorted(set(edges))
     )
-    return Lts(("X",), tuple((i,) for i in range(n)), 0, transitions)
+    return lts_from_transitions(("X",), [(i,) for i in range(n)], 0, transitions)
 
 
 def random_scc_lts(rng: random.Random, shape: str) -> Lts:
@@ -227,4 +229,4 @@ def permuted(lts: Lts, rng: random.Random) -> Lts:
     rng.shuffle(perm)
     edges = [(perm[t.src], t.label.action, perm[t.dst]) for t in lts.transitions]
     moved = hand_lts(lts.n_states, edges)
-    return Lts(moved.species_order, moved.states, perm[lts.initial], moved.transitions)
+    return dataclasses.replace(moved, initial=perm[lts.initial])

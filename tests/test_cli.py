@@ -586,6 +586,77 @@ class TestStandardOutputFailure:
         assert (reader.wait(), err) == (2, b"standard output: Broken pipe\n")
 
 
+def test_no_command_builds_the_transition_view(fixtures, capsys, tmp_path, monkeypatch):
+    # every command reads the transition columns; ``Lts.transitions`` is
+    # a view for library callers
+    built = []
+    monkeypatch.setattr(fastslow.Lts, "transitions", property(lambda lts: built.append(lts)))
+    models = [fixtures / "inhibition_full.bp", fixtures / "inhibition_reduced.bp"]
+    config = ["--config", fixtures / "inhibition.cfg"]
+    rel_path = tmp_path / "rel.json"
+    rel_path.write_text(json.dumps([[list(a), list(b)] for a, b in inhibition_relation_transformed(5, 3, 0)]))
+    burst = [fixtures / name for name in ("burst_a.bp", "burst_b.bp", "drain_ctx.bp")]
+    commands = [
+        ["lts", models[0], "--out", tmp_path / "lts.json"],
+        ["lts", models[0], "--format", "dot", *config, "--out", tmp_path / "lts.dot"],
+        *(["check", *models, *config, "--mode", mode, "--json"] for mode in ("fast-slow", "slow")),
+        ["check", *models, *config, "--emit-relation", tmp_path / "largest.json"],
+        ["check", *models, *config, "--mode", "shortcut", "--relation", rel_path],
+        ["congruence", *burst, "--config", fixtures / "burst.cfg"],
+        ["classify", models[0], *config, "--json"],
+    ]
+    codes = [run(capsys, *argv)[0] for argv in commands]
+    assert codes == [0, 0, 0, 0, 0, 0, 1, 0]
+    assert built == []
+
+
+class TestHashSeedIndependence:
+    """Every export, report and verdict on the fixtures is the same bytes
+    under two hash seeds, which change the iteration order of every set
+    of strings; each command runs in its own process under each seed."""
+
+    COMMANDS = (
+        ("lts", "inhibition_full.bp", "--format", "json"),
+        ("lts", "explicit_coop.bp", "--format", "json"),
+        ("lts", "inhibition_full.bp", "--format", "dot", "--config", "inhibition.cfg"),
+        ("lts", "explicit_coop.bp", "--format", "dot", "--config", "explicit_coop.cfg"),
+        *(
+            ("check", "inhibition_full.bp", "inhibition_reduced.bp", "--config", "inhibition.cfg",
+             "--mode", mode, "--json", "--deterministic")
+            for mode in ("fast-slow", "slow")
+        ),
+        ("check", "burst_a.bp", "burst_b.bp", "--config", "burst.cfg", "--json", "--deterministic"),
+        ("congruence", "burst_a.bp", "burst_b.bp", "drain_ctx.bp", "--config", "burst.cfg"),
+        ("congruence", "producer_plain.bp", "producer_activated.bp", "consumer_ctx.bp",
+         "--config", "producer.cfg", "--json", "--deterministic"),
+        ("classify", "inhibition_full.bp", "--config", "inhibition.cfg", "--json", "--deterministic"),
+        ("classify", "explicit_coop.bp", "--config", "explicit_coop.cfg"),
+    )
+
+    @staticmethod
+    def outputs(fixtures, seed: str) -> list[tuple[int, bytes, bytes]]:
+        env = dict(
+            os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(Path(fastslow.__file__).parents[1])
+        )
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "fastslow.cli", *argv],
+                cwd=fixtures,
+                env=env,
+                capture_output=True,
+            )
+            for argv in TestHashSeedIndependence.COMMANDS
+        ]
+        return [(run.returncode, run.stdout, run.stderr) for run in runs]
+
+    def test_fixture_outputs_under_two_hash_seeds(self, fixtures):
+        first = self.outputs(fixtures, "24")
+        assert first == self.outputs(fixtures, "12345")
+        # the commands reach both verdicts, and every one writes its output
+        assert {code for code, _, _ in first} == {0, 1}
+        assert all(out for _, out, _ in first)
+
+
 class TestClassifyCommand:
     def test_full_model(self, fixtures, capsys):
         code, out, _ = run(

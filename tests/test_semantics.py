@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 import tracemalloc
@@ -27,8 +28,10 @@ from fastslow import (
     extend_species,
     filter_label,
     largest_fast_slow,
+    largest_slow,
     lts_to_dict,
     lts_to_dot,
+    lts_to_json,
     max_level,
     parse_config,
     parse_model,
@@ -39,6 +42,7 @@ from fastslow import semantics
 from oracles import (
     build_lts_oracle,
     fast_edges,
+    lts_from_transitions,
     step_tree_oracle,
     warshall_closure,
     weak_slow_oracle,
@@ -130,7 +134,7 @@ class TestBuildLts:
 
     def test_repeated_state_is_refused_when_looked_up(self):
         # the state index is built by the first lookup, not by the constructor
-        lts = Lts(("A",), ((0,), (1,), (0,)), 0, ())
+        lts = lts_from_transitions(("A",), ((0,), (1,), (0,)), 0, [])
         assert lts.n_states == 3
         with pytest.raises(ValueError, match="^duplicate states in transition system$"):
             lts.index_of((1,))
@@ -245,6 +249,12 @@ class TestBuildLts:
         assert left.transitions == right.transitions
 
 
+def fixture_models(fixtures) -> list[SystemDef]:
+    paths = sorted(p for p in fixtures.glob("*.bp") if p.name != "broken.bp")
+    assert len(paths) == 9
+    return [parse_model(path.read_text()) for path in paths]
+
+
 class TestStepAgainstTreeOracle:
     """The compiled reaction-instance table against the recursive walk of
     the cooperation tree, state by state, and the label order pinned by
@@ -299,10 +309,8 @@ class TestStepAgainstTreeOracle:
             self.assert_agrees(parse_model((fixtures / name).read_text()))
 
     def test_every_fixture_model(self, fixtures):
-        paths = sorted(p for p in fixtures.glob("*.bp") if p.name != "broken.bp")
-        assert len(paths) == 9
-        for path in paths:
-            self.assert_agrees(parse_model(path.read_text()))
+        for sys in fixture_models(fixtures):
+            self.assert_agrees(sys)
 
 
 class TestBuildAgainstOracle:
@@ -316,6 +324,7 @@ class TestBuildAgainstOracle:
         assert lts.species_order == expected.species_order
         assert lts.states == expected.states
         assert lts.transitions == expected.transitions
+        assert lts == expected
 
     @pytest.mark.parametrize("sync_all", [True, False])
     def test_random_systems(self, sync_all):
@@ -331,10 +340,101 @@ class TestBuildAgainstOracle:
         self.assert_same(inhibition_reduced(20, 3, 1))
 
     def test_every_fixture_model(self, fixtures):
-        paths = sorted(p for p in fixtures.glob("*.bp") if p.name != "broken.bp")
-        assert len(paths) == 9
-        for path in paths:
-            self.assert_same(parse_model(path.read_text()))
+        for sys in fixture_models(fixtures):
+            self.assert_same(sys)
+
+
+def layout_cases(fixtures):
+    """Transition systems built from the seeded random suites and the
+    fixtures, and hand-built ones of every SCC shape."""
+    for sync_all in (True, False):
+        for case in range(100):
+            _, a, _, b, _ = random_case(case, seed="layout", sync_all=sync_all)
+            yield a
+            yield b
+    for sys in fixture_models(fixtures):
+        yield build_lts(sys)
+    rng = random.Random("layout")
+    for shape in SCC_SHAPES:
+        yield random_scc_lts(rng, shape)
+
+
+class TestColumnarLayout:
+    """State ``s``'s transitions are the slice ``starts[s]:starts[s + 1]``
+    of the label and target columns; ``transitions`` is a view of them
+    that no path of the package builds."""
+
+    def test_starts_bound_one_slice_per_state(self, fixtures):
+        for lts in layout_cases(fixtures):
+            starts = lts.starts
+            assert len(starts) == lts.n_states + 1
+            assert starts[0] == 0 and starts[-1] == lts.n_transitions
+            assert all(lo <= hi for lo, hi in zip(starts, starts[1:]))
+            assert len(lts.labels) == len(lts.targets) == lts.n_transitions
+            assert all(0 <= t < lts.n_states for t in lts.targets)
+
+    def test_rebuilt_from_its_transitions(self, fixtures):
+        for lts in layout_cases(fixtures):
+            view = lts.transitions
+            assert [t.src for t in view] == sorted(t.src for t in view)
+            rebuilt = lts_from_transitions(lts.species_order, lts.states, lts.initial, view)
+            assert rebuilt == lts
+            assert rebuilt.transitions == view
+
+    @pytest.mark.parametrize(
+        "columns",
+        [((0, 1), (), ()), ((0, 0, 1), (), ()), ((1, 1, 1), (), ()), ((0, 0, 1), (None,), ())],
+    )
+    def test_columns_that_do_not_fit_the_states(self, columns):
+        with pytest.raises(ValueError, match="^transition columns do not match the states$"):
+            Lts(("A",), ((0,), (1,)), 0, *columns)
+
+    def test_no_analysis_builds_the_transition_view(self, fixtures):
+        cfg = parse_config((fixtures / "inhibition.cfg").read_text())
+        a = build_lts(inhibition_full(5, 3, 1))
+        b = build_lts(inhibition_reduced(5, 3, 1))
+        lts_to_json(a)
+        lts_to_dot(a)
+        lts_to_dot(a, cfg)
+        views = WeakViews(a, cfg)
+        for s in range(a.n_states):
+            for d in views.fast_steps(s):
+                views.fast_step_actions(s, d)
+        largest_fast_slow(a, b, cfg)
+        largest_slow(a, b, cfg)
+        assert "transitions" not in vars(a)
+        assert "transitions" not in vars(b)
+
+    def test_fast_step_actions_against_every_transition(self):
+        for case in range(100):
+            _, a, _, _, cfg = random_case(case, seed="fast-step-actions")
+            try:
+                views = WeakViews(a, cfg)
+            except UnpartitionedActionError:
+                continue
+            for s in range(a.n_states):
+                for d in range(a.n_states):
+                    expected = {t.label.action for t in a.transitions if (t.src, t.dst) == (s, d)}
+                    assert views.fast_step_actions(s, d) == tuple(sorted(expected & cfg.fast))
+
+    def test_tracked_objects_grow_with_labels_not_transitions(self):
+        # three independent species: a label names one species' level, so
+        # 1,331 states share 60 labels among 7,260 transitions
+        text = "".join(
+            f"max {s} = 10;\nspecies {s} = (u{s},1) >> {s} + (d{s},1) << {s};\n" for s in "ABC"
+        )
+        model = parse_model(text + "system = A[5] <*> B[5] <*> C[5];\n")
+        build_lts(model)
+        gc.collect()
+        before = len(gc.get_objects())
+        lts = build_lts(model)
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        labels = len({id(label) for label in lts.labels})
+        assert (lts.n_states, labels, lts.n_transitions) == (1331, 60, 7260)
+        bound = lts.n_states + 4 * labels
+        assert lts.n_transitions > 4 * bound
+        assert added <= bound
 
 
 class TestGeneratedStep:

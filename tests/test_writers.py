@@ -37,7 +37,7 @@ from fastslow import (
     parse_config,
     relation_to_json,
 )
-from oracles import dot_oracle
+from oracles import dot_oracle, lts_from_transitions
 from randgen import random_case
 from systems import inhibition_config, inhibition_full, inhibition_reduced, pathway
 
@@ -118,18 +118,13 @@ def test_model_without_enabled_reaction():
 
 
 def test_label_without_entries():
-    lts = Lts(
-        species_order=("A",),
-        states=((0,), (1,)),
-        initial=0,
-        transitions=(Transition(0, CapabilityLabel("r", ()), 1),),
-    )
+    lts = lts_from_transitions(("A",), ((0,), (1,)), 0, [Transition(0, CapabilityLabel("r", ()), 1)])
     assert lts_to_json(lts) == lts_reference(lts)
     assert '"entries": []' in lts_to_json(lts)
 
 
 def test_no_species():
-    lts = Lts(species_order=(), states=((),), initial=0, transitions=())
+    lts = lts_from_transitions((), ((),), 0, [])
     assert lts_to_json(lts) == lts_reference(lts)
     rel = frozenset({(0, 0)})
     assert relation_to_json(rel, lts, lts) == relation_reference(rel, lts, lts)
@@ -157,11 +152,8 @@ def test_percent_and_quotes_in_hand_built_names():
         'r%d%%%(x)s"', tuple(LabelEntry(name, Role.GENERIC, 1, 1) for name in names)
     )
     ends = [(0, 0), (9, 10), (99, 100), (100, 9)]
-    lts = Lts(
-        species_order=names,
-        states=tuple((1, 1, 1, i) for i in range(101)),
-        initial=0,
-        transitions=tuple(Transition(src, label, dst) for src, dst in ends),
+    lts = lts_from_transitions(
+        names, [(1, 1, 1, i) for i in range(101)], 0, [Transition(src, label, dst) for src, dst in ends]
     )
     assert lts_to_json(lts) == lts_reference(lts)
     cfg = EquivConfig(frozenset(), frozenset(), frozenset({"E%d"}), {"A%s\\": "E%d", "C%(x)s": "E%d"})
