@@ -34,7 +34,6 @@ from .equivalence import (
     largest_slow,
     relation_to_json,
     relation_verdict,
-    resolve_relation,
     shared_fast_actions,
 )
 from .model import (
@@ -68,15 +67,12 @@ from .semantics import (
     LabelEntry,
     Lts,
     StateSpaceLimitError,
-    Transition,
     UnpartitionedActionError,
     WeakViews,
     build_lts,
-    filter_label,
     lts_to_dict,
     lts_to_json,
     lts_to_dot,
-    step,
 )
 
 __version__ = "0.1.0"

@@ -29,6 +29,7 @@ from typing import Iterable
 from . import rational
 from .equivalence import (
     CheckOutcome,
+    EquivalenceError,
     RelationResolutionError,
     check_fast_slow_relation,
     check_slow_relation,
@@ -424,12 +425,13 @@ def shortcut_check(
 
     The supplied relation is given in transformed coordinates: pairs of
     (slow..., fast...) for the first model against (slow...) for the
-    second, with equal slow values inside every pair; both are checked
-    before any transition system is built.  After the slow check succeeds
-    on the transformed systems, the same relation is cross-validated with
-    the direct fast-slow check on the original transition systems, which
-    are built under the ``max_states`` cap, and ``relation_verdict`` turns
-    that check into the verdict on the two models.
+    second, with equal slow values inside every pair; both are checked,
+    and an empty relation refused, before any transition system is
+    built.  After the slow check succeeds on the transformed systems, the
+    same relation is cross-validated with the direct fast-slow check on
+    the original transition systems, which are built under the
+    ``max_states`` cap, and ``relation_verdict`` turns that check into
+    the verdict on the two models.
     """
     cls_a = classify(sys_a, cfg)
     cls_b = classify(sys_b, cfg)
@@ -451,6 +453,8 @@ def shortcut_check(
                     f"{coords_a[:n_s]} vs {coords_b[:n_s]}"
                 ]
             )
+    if not pairs:
+        raise EquivalenceError("empty-relation")
     lts_a = build_lts(sys_a, max_states=max_states)
     lts_b = build_lts(sys_b, max_states=max_states)
     t_a = transform_lts(lts_a, cls_a)

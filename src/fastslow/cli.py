@@ -39,15 +39,21 @@ class _InputError(Exception):
     pass
 
 
-def _read(path: str) -> str:
+def _read(args, path: str) -> str:
+    """The text of ``path``, with its newlines read as ``open`` reads them
+    in text mode; the SHA-256 of the bytes read goes to the report's
+    ``inputs``, so the file is read once."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise _InputError(
             f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
         ) from None
+    args._inputs[path] = hashlib.sha256(data).hexdigest()
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write(path: str, *texts: str) -> None:
@@ -58,9 +64,9 @@ def _write(path: str, *texts: str) -> None:
         raise _InputError(f"{path}: {exc.strerror or exc}") from None
 
 
-def _load(path: str, parse):
+def _load(args, path: str, parse):
     """A model or configuration file read through ``parse``."""
-    text = _read(path)
+    text = _read(args, path)
     try:
         return parse(text)
     except parser.ParseError as exc:
@@ -68,8 +74,8 @@ def _load(path: str, parse):
         raise _InputError("\n".join(lines)) from None
 
 
-def _load_relation(path: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    text = _read(path)
+def _load_relation(args, path: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    text = _read(args, path)
     try:
         obj = json.loads(text)
     except ValueError as exc:  # malformed JSON, or an integer of too many digits
@@ -84,14 +90,9 @@ def _load_relation(path: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         raise _InputError(f"{path}: {exc}") from None
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _report(args, **fields) -> dict:
-    report = {"command": args.command, "inputs": {}}
-    for path in getattr(args, "_input_paths", []):
-        report["inputs"][path] = _digest(path)
+    # every command reads its inputs in the order its arguments name them
+    report = {"command": args.command, "inputs": args._inputs}
     report.update(fields)
     if not args.deterministic:
         report["timing_ms"] = round((time.monotonic() - args._started) * 1000.0, 3)
@@ -115,8 +116,8 @@ def _refuse(problems: list[str]) -> None:
 
 
 def cmd_lts(args) -> int:
-    sys_def = _load(args.model, parser.parse_model)
-    cfg = _load(args.config, parser.parse_config) if args.config else None
+    sys_def = _load(args, args.model, parser.parse_model)
+    cfg = _load(args, args.config, parser.parse_config) if args.config else None
     lts = semantics.build_lts(sys_def, max_states=args.max_states)
     if args.format == "dot":
         document = (semantics.lts_to_dot(lts, cfg),)
@@ -141,16 +142,30 @@ _VERDICT_EXIT = {
 }
 
 
+def _refuse_unresolvable(pairs, sys_a, sys_b) -> None:
+    """Refuse, before any build, a relation that no transition system can
+    resolve: an empty one, or one with a vector of the wrong length.  The
+    messages are those of the check and of ``index_pairs``."""
+    if not pairs:
+        raise equivalence.EquivalenceError("empty-relation")
+    width_a, width_b = len(sys_a.species_order), len(sys_b.species_order)
+    for va, vb in pairs:
+        if len(va) != width_a:
+            raise equivalence.RelationResolutionError(va, "first-model")
+        if len(vb) != width_b:
+            raise equivalence.RelationResolutionError(vb, "second-model")
+
+
 def cmd_check(args) -> int:
     if args.emit_relation and (args.relation or args.mode == "shortcut"):
         raise _InputError("--emit-relation cannot be combined with --relation or --mode shortcut")
-    sys_a = _load(args.model_a, parser.parse_model)
-    sys_b = _load(args.model_b, parser.parse_model)
-    cfg = _load(args.config, parser.parse_config)
+    sys_a = _load(args, args.model_a, parser.parse_model)
+    sys_b = _load(args, args.model_b, parser.parse_model)
+    cfg = _load(args, args.config, parser.parse_config)
     if args.mode == "shortcut" and not args.relation:
         raise _InputError("mode shortcut needs --relation (transformed coordinates)")
     _refuse(equivalence.config_problems(cfg, sys_a, sys_b))
-    pairs = _load_relation(args.relation) if args.relation else None
+    pairs = _load_relation(args, args.relation) if args.relation else None
 
     if args.mode == "shortcut":
         result = classification.shortcut_check(
@@ -171,6 +186,8 @@ def cmd_check(args) -> int:
         _emit(args, report, [f"verdict: {outcome.describe()}"])
         return _VERDICT_EXIT[outcome.verdict]
 
+    if pairs is not None:
+        _refuse_unresolvable(pairs, sys_a, sys_b)
     lts_a = semantics.build_lts(sys_a, max_states=args.max_states)
     lts_b = semantics.build_lts(sys_b, max_states=args.max_states)
     check = (
@@ -209,8 +226,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    sys_def = _load(args.model, parser.parse_model)
-    cfg = _load(args.config, parser.parse_config)
+    sys_def = _load(args, args.model, parser.parse_model)
+    cfg = _load(args, args.config, parser.parse_config)
     # delta may name species of a model this one is compared with
     _refuse(equivalence.partition_problems(cfg, sys_def))
     report_doc = classification.classification_report(sys_def, cfg)
@@ -233,10 +250,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_congruence(args) -> int:
-    p1 = _load(args.model_p1, parser.parse_model)
-    p2 = _load(args.model_p2, parser.parse_model)
-    q = _load(args.model_q, parser.parse_model)
-    cfg = _load(args.config, parser.parse_config)
+    p1 = _load(args, args.model_p1, parser.parse_model)
+    p2 = _load(args, args.model_p2, parser.parse_model)
+    q = _load(args, args.model_q, parser.parse_model)
+    cfg = _load(args, args.config, parser.parse_config)
     probe = equivalence.congruence_probe(p1, p2, q, cfg, max_states=args.max_states)
     report = _report(
         args,
@@ -262,7 +279,7 @@ def cmd_congruence(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    sys_def = _load(args.model, parser.parse_model)
+    sys_def = _load(args, args.model, parser.parse_model)
     try:
         base = sys_def.species_def(args.base)
         extension = sys_def.species_def(args.extension)
@@ -370,12 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.reconfigure(encoding="utf-8")
     args = _arg_parser().parse_args(argv)
     args._started = time.monotonic()
-    paths = [
-        getattr(args, name)
-        for name in ("model", "model_a", "model_b", "model_p1", "model_p2", "model_q", "config", "relation")
-        if getattr(args, name, None)
-    ]
-    args._input_paths = paths
+    args._inputs = {}  # path -> SHA-256 of the bytes read
     try:
         code = args.func(args)
         sys.stdout.flush()  # a failed write raises here, not at shutdown

@@ -427,12 +427,6 @@ def read_pair(item) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(item[0]), tuple(item[1])
 
 
-def resolve_relation(pairs: Iterable, a: Lts, b: Lts) -> Relation:
-    """Turn pairs of level vectors, each read by ``read_pair``, into a
-    relation over state indices, as ``index_pairs`` does."""
-    return index_pairs(map(read_pair, pairs), a, b)
-
-
 def index_pairs(pairs: Iterable[tuple[State, State]], a: Lts, b: Lts) -> Relation:
     """The relation over state indices of pairs read by ``read_pair``; a
     vector of no reachable state is an error, never silently dropped."""

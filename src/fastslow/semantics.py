@@ -61,8 +61,8 @@ from .model import (
 DEFAULT_STATE_CAP = 1_000_000
 
 # A named tuple's generated ``__new__`` is a Python call; ``tuple.__new__``
-# makes the same object without it, once per label, and once per
-# transition of an ``Lts.transitions`` view.
+# makes the same object without it, once per label and once per filtered
+# label.
 _tuple_new = tuple.__new__
 
 State = tuple[int, ...]
@@ -114,14 +114,6 @@ class CapabilityLabel(NamedTuple):
         return f"({self.action}, {{{inner}}})"
 
 
-class Transition(NamedTuple):
-    """One transition of an ``Lts``, as its ``transitions`` view lists it."""
-
-    src: int
-    label: CapabilityLabel
-    dst: int
-
-
 @dataclass(frozen=True)
 class Lts:
     """Explicit transition system over the derivative set of the initial
@@ -132,11 +124,7 @@ class Lts:
     state indices.  ``starts`` has one offset per state and then the
     number of transitions.  Equal labels are one shared object, so a
     transition costs a slot in each column and no object of its own.
-
-    ``transitions`` lists the same system as ``Transition`` tuples, in
-    source order; it is made on first access, for library callers, and
-    no path of this package reads it.  The first ``index_of`` builds the
-    index of states.
+    The first ``index_of`` builds the index of states.
     """
 
     species_order: tuple[str, ...]
@@ -162,15 +150,6 @@ class Lts:
             raise ValueError("duplicate states in transition system")
         return index
 
-    @cached_property
-    def transitions(self) -> tuple[Transition, ...]:
-        starts, labels, targets = self.starts, self.labels, self.targets
-        return tuple(
-            _tuple_new(Transition, (src, labels[i], targets[i]))
-            for src in range(len(self.states))
-            for i in range(starts[src], starts[src + 1])
-        )
-
     @property
     def n_states(self) -> int:
         return len(self.states)
@@ -185,9 +164,6 @@ class Lts:
         if idx is None:
             raise KeyError(f"state {key} is not reachable in this system")
         return idx
-
-    def actions(self) -> frozenset[str]:
-        return frozenset(label.action for label in self.labels)
 
 
 class _Entries(dict):
@@ -364,20 +340,6 @@ def _generate(
     return space.pop("moves")  # type: ignore[return-value]
 
 
-def step(sys: SystemDef, state: Iterable[int]) -> list[tuple[CapabilityLabel, State]]:
-    """All capability transitions from one state, deterministically ordered.
-
-    Raises ``ValueError`` unless ``state`` gives every species a level
-    within ``0..max``, as every state of the model does.
-    """
-    compiled = _Compiled(sys)
-    state = tuple(state)
-    limits = compiled.limits
-    if len(state) != len(limits) or not all(0 <= x <= n for x, n in zip(state, limits)):
-        raise ValueError(f"{format_state(state)} is not a state of this model")
-    return sorted(compiled.moves(state), key=lambda move: (move[1], move[0]))
-
-
 def build_lts(sys: SystemDef, max_states: int = DEFAULT_STATE_CAP) -> Lts:
     """Breadth-first closure of the step relation from the initial state.
 
@@ -425,19 +387,6 @@ def build_lts(sys: SystemDef, max_states: int = DEFAULT_STATE_CAP) -> Lts:
     )
 
 
-def filter_label(label: CapabilityLabel, cfg: EquivConfig) -> CapabilityLabel:
-    """Restrict a label to the comparison species.
-
-    Entries are renamed through the alias map first; only entries whose
-    canonical species is in delta survive.  The action name is untouched.
-    Renaming can reorder entries and make two of them equal, so the kept
-    entries are sorted and each is kept once.
-    """
-    kept = {_filter_entry(e, cfg) for e in label.entries}
-    kept.discard(None)
-    return CapabilityLabel(label.action, tuple(sorted(kept)))
-
-
 def _filter_entry(e: LabelEntry, cfg: EquivConfig) -> LabelEntry | None:
     """``e`` renamed through the alias map, or None when its canonical
     species is not in delta."""
@@ -448,8 +397,15 @@ def _filter_entry(e: LabelEntry, cfg: EquivConfig) -> LabelEntry | None:
 
 
 class _Filtered(dict):
-    """``filter_label`` under one configuration, by label, for one caller:
-    each distinct label is filtered once and each distinct entry once,
+    """Labels restricted to the comparison species of one configuration,
+    by label, for one caller.
+
+    Entries are renamed through the alias map first; only entries whose
+    canonical species is in delta survive, and the action name is
+    untouched.  Renaming can reorder entries and make two of them equal,
+    so the kept entries are sorted and each is kept once.
+
+    Each distinct label is filtered once and each distinct entry once,
     and equal filtered labels are one object.  A transition system has
     far fewer distinct entries than labels, and far fewer labels than
     transitions.  One object per filtered label leaves the cyclic
@@ -642,14 +598,15 @@ class WeakViews:
 
 def lts_to_dict(lts: Lts) -> dict:
     """The document ``lts_to_json`` writes, as plain lists and dicts."""
+    starts, labels, targets = lts.starts, lts.labels, lts.targets
     return {
         "species": list(lts.species_order),
         "states": [list(s) for s in lts.states],
         "initial": lts.initial,
         "transitions": [
             {
-                "src": t.src,
-                "action": t.label.action,
+                "src": src,
+                "action": labels[i].action,
                 "entries": [
                     {
                         "species": e.species,
@@ -657,11 +614,12 @@ def lts_to_dict(lts: Lts) -> dict:
                         "level": e.level,
                         "stoich": e.stoich,
                     }
-                    for e in t.label.entries
+                    for e in labels[i].entries
                 ],
-                "dst": t.dst,
+                "dst": targets[i],
             }
-            for t in lts.transitions
+            for src in range(lts.n_states)
+            for i in range(starts[src], starts[src + 1])
         ],
     }
 

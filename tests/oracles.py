@@ -1,11 +1,17 @@
 """Independent oracles: deliberately naive re-computations of the
 relations the library builds, used to cross-check the real implementations.
-They share no code with the package beyond the data types."""
+They share no code with the package beyond the data types.
+
+Beside them are the tests' views of an ``Lts``: ``transitions`` lists its
+columns as ``Transition`` tuples and ``lts_from_transitions`` builds the
+columns from such a list.  ``step`` runs the package's own step function
+on one state, for comparison with ``step_tree_oracle``."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from fastslow import (
     CapabilityLabel,
@@ -20,10 +26,9 @@ from fastslow import (
     SourceSpan,
     StoichMatrix,
     SystemDef,
-    Transition,
-    filter_label,
     max_level,
 )
+from fastslow.semantics import _Compiled
 
 
 _SYMBOLS = ("<*>", "(+)", "(-)", "(.)", "<<", ">>", ";", "=", "+", "(", ")", ",", "[", "]", "<", ">")
@@ -157,6 +162,31 @@ def step_tree_oracle(
     return result
 
 
+def step(sys: SystemDef, state) -> list[tuple[CapabilityLabel, tuple[int, ...]]]:
+    """The moves of ``state`` in label order, from the package's generated
+    step function, compiled afresh on every call.  Raises ``ValueError``
+    unless ``state`` gives every species a level within ``0..max``, as
+    every state of the model does."""
+    compiled = _Compiled(sys)
+    state = tuple(state)
+    limits = compiled.limits
+    if len(state) != len(limits) or not all(0 <= x <= n for x, n in zip(state, limits)):
+        raise ValueError(f"{state} is not a state of this model")
+    return compiled.moves(state)
+
+
+def filter_oracle(label: CapabilityLabel, cfg: EquivConfig) -> CapabilityLabel:
+    """``label`` restricted to the comparison species: every entry renamed
+    through the alias map and kept when its new name is in delta, the kept
+    entries sorted and each kept once."""
+    kept = set()
+    for e in label.entries:
+        name = cfg.aliases.get(e.species, e.species)
+        if name in cfg.delta:
+            kept.add(LabelEntry(name, e.role, e.level, e.stoich))
+    return CapabilityLabel(label.action, tuple(sorted(kept)))
+
+
 def build_lts_oracle(sys: SystemDef) -> Lts:
     """The transition system of ``sys`` by breadth-first search over
     ``step_tree_oracle``.
@@ -167,7 +197,7 @@ def build_lts_oracle(sys: SystemDef) -> Lts:
     levels = sys.initial_levels()
     states = [tuple(levels[name] for name in sys.species_order)]
     index = {states[0]: 0}
-    transitions = []
+    found = []
     src = 0
     while src < len(states):
         moves = step_tree_oracle(sys, states[src])
@@ -176,16 +206,34 @@ def build_lts_oracle(sys: SystemDef) -> Lts:
                 index[target] = len(states)
                 states.append(target)
         for label, target in sorted(moves):
-            transitions.append(Transition(src, label, index[target]))
+            found.append(Transition(src, label, index[target]))
         src += 1
-    return lts_from_transitions(sys.species_order, states, 0, transitions)
+    return lts_from_transitions(sys.species_order, states, 0, found)
 
 
-def lts_from_transitions(species_order, states, initial: int, transitions) -> Lts:
+class Transition(NamedTuple):
+    """One transition of an ``Lts``: source index, label, target index."""
+
+    src: int
+    label: CapabilityLabel
+    dst: int
+
+
+def transitions(lts: Lts) -> list[Transition]:
+    """The transitions of ``lts`` in source order: each state's slice of
+    the label and target columns in turn."""
+    return [
+        Transition(src, lts.labels[i], lts.targets[i])
+        for src in range(lts.n_states)
+        for i in range(lts.starts[src], lts.starts[src + 1])
+    ]
+
+
+def lts_from_transitions(species_order, states, initial: int, moves) -> Lts:
     """The ``Lts`` of a list of ``Transition``s: each state's transitions,
     in the order given, are its slice of the label and target columns."""
     by_source = [[] for _ in states]
-    for t in transitions:
+    for t in moves:
         by_source[t.src].append(t)
     starts, labels, targets = [0], [], []
     for moves in by_source:
@@ -199,16 +247,16 @@ def lts_from_transitions(species_order, states, initial: int, transitions) -> Lt
 
 def dot_oracle(lts: Lts, cfg: EquivConfig | None = None) -> str:
     """The DOT document of ``lts`` rendered edge by edge: with a
-    configuration, every edge's label goes through ``filter_label``."""
+    configuration, every edge's label goes through ``filter_oracle``."""
     lines = ["digraph lts {", "  rankdir=LR;", "  node [shape=box];"]
     for i, state in enumerate(lts.states):
         levels = ",".join(str(x) for x in state)
         shape = " peripheries=2" if i == lts.initial else ""
         lines.append(f'  {i} [label="({levels})"{shape}];')
-    for t in lts.transitions:
+    for t in transitions(lts):
         text = t.label.action
         if cfg is not None:
-            inner = " ".join(str(e) for e in filter_label(t.label, cfg).entries)
+            inner = " ".join(str(e) for e in filter_oracle(t.label, cfg).entries)
             text = f"{text}; {{{inner}}}"
         lines.append(f'  {t.src} -> {t.dst} [label="{text}"];')
     lines.append("}")
@@ -272,7 +320,7 @@ def warshall_closure(n: int, edges: set[tuple[int, int]]) -> list[set[int]]:
 
 def fast_edges(lts: Lts, cfg: EquivConfig) -> set[tuple[int, int]]:
     return {
-        (t.src, t.dst) for t in lts.transitions if t.label.action in cfg.fast
+        (t.src, t.dst) for t in transitions(lts) if t.label.action in cfg.fast
     }
 
 
@@ -282,8 +330,8 @@ def weak_slow_oracle(
     """All weak slow moves: fast closure, one slow step, fast closure."""
     closure = warshall_closure(lts.n_states, fast_edges(lts, cfg))
     slow = [
-        (t.src, t.label.action, filter_label(t.label, cfg), t.dst)
-        for t in lts.transitions
+        (t.src, t.label.action, filter_oracle(t.label, cfg), t.dst)
+        for t in transitions(lts)
         if t.label.action in cfg.slow
     ]
     out: dict[tuple[int, str, CapabilityLabel], set[int]] = {}
@@ -299,7 +347,7 @@ def strong_bisim_oracle(lts: Lts) -> set[tuple[int, int]]:
     straightforward delete-violating-pairs fixpoint."""
     n = lts.n_states
     moves: list[list] = [[] for _ in range(n)]
-    for t in lts.transitions:
+    for t in transitions(lts):
         moves[t.src].append((t.label, t.dst))
 
     def matched(rel, src_moves, dst_moves, flip):
@@ -336,9 +384,9 @@ def violation_oracle(a: Lts, b: Lts, cfg: EquivConfig, include_fast: bool):
     def moves(lts: Lts):
         fast = fast_edges(lts, cfg)
         strong = [set() for _ in range(lts.n_states)]
-        for t in lts.transitions:
+        for t in transitions(lts):
             if t.label.action in cfg.slow:
-                strong[t.src].add((t.label.action, filter_label(t.label, cfg), t.dst))
+                strong[t.src].add((t.label.action, filter_oracle(t.label, cfg), t.dst))
         if include_fast:
             for src, dst in fast:
                 strong[src].add((None, None, dst))

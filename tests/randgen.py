@@ -24,8 +24,8 @@ from fastslow import (
     validate_system,
 )
 from fastslow.model import tree_leaves
-from fastslow.semantics import Lts, Transition
-from oracles import lts_from_transitions
+from fastslow.semantics import Lts
+from oracles import Transition, lts_from_transitions, transitions
 
 ROLES = [
     Role.REACTANT,
@@ -153,10 +153,8 @@ SCC_SHAPES = ("reversible", "cycle-exit", "chain", "silent", "dag")
 def hand_lts(n: int, edges) -> Lts:
     """A transition system over the states (0,) .. (n-1,), initial (0,),
     with one transition per distinct ``(src, action, dst)`` edge."""
-    transitions = tuple(
-        Transition(src, CapabilityLabel(action, ()), dst) for src, action, dst in sorted(set(edges))
-    )
-    return lts_from_transitions(("X",), [(i,) for i in range(n)], 0, transitions)
+    moves = [Transition(src, CapabilityLabel(action, ()), dst) for src, action, dst in sorted(set(edges))]
+    return lts_from_transitions(("X",), [(i,) for i in range(n)], 0, moves)
 
 
 def random_scc_lts(rng: random.Random, shape: str) -> Lts:
@@ -227,6 +225,6 @@ def permuted(lts: Lts, rng: random.Random) -> Lts:
     other state indices and another order of transitions."""
     perm = list(range(lts.n_states))
     rng.shuffle(perm)
-    edges = [(perm[t.src], t.label.action, perm[t.dst]) for t in lts.transitions]
+    edges = [(perm[t.src], t.label.action, perm[t.dst]) for t in transitions(lts)]
     moved = hand_lts(lts.n_states, edges)
     return dataclasses.replace(moved, initial=perm[lts.initial])

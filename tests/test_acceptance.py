@@ -22,17 +22,17 @@ from fastslow import (
     compose,
     conserved_basis,
     congruence_probe,
-    filter_label,
     largest_fast_slow,
     largest_slow,
-    resolve_relation,
     shared_fast_actions,
     shortcut_check,
     slow_basis,
     stoich_matrix,
 )
+from fastslow.equivalence import index_pairs
 from fastslow.rational import dot
-from oracles import fast_edges, strong_bisim_oracle, warshall_closure, weak_slow_oracle
+from fastslow.semantics import _Filtered
+from oracles import fast_edges, strong_bisim_oracle, transitions, warshall_closure, weak_slow_oracle
 from randgen import random_case
 from systems import (
     burst_systems,
@@ -83,10 +83,10 @@ class TestCriterion1:
         reduced = build_lts(inhibition_reduced(5, 3, 0))
         assert reduced.n_states == 6
         assert reduced.n_transitions == 5
-        assert all(t.label.action == "g" for t in reduced.transitions)
+        assert all(t.label.action == "g" for t in transitions(reduced))
         chain = [(5 - k, 3, 0, k) for k in range(6)]
         assert list(reduced.states) == chain
-        assert [(t.src, t.dst) for t in reduced.transitions] == [
+        assert [(t.src, t.dst) for t in transitions(reduced)] == [
             (k, k + 1) for k in range(5)
         ]
         elapsed = time.monotonic() - started
@@ -100,7 +100,7 @@ class TestCriterion2:
         for params in PARAMS:
             a = build_lts(inhibition_full(*params))
             b = build_lts(inhibition_reduced(*params))
-            rel = resolve_relation(inhibition_relation(*params), a, b)
+            rel = index_pairs(inhibition_relation(*params), a, b)
             outcome = check_fast_slow_relation(rel, a, b, CFG)
             assert outcome.verdict == "equivalent", params
         elapsed = time.monotonic() - started
@@ -116,7 +116,7 @@ class TestCriterion3:
             b = build_lts(inhibition_reduced(*params))
             rel, outcome = largest_fast_slow(a, b, CFG)
             assert outcome.equivalent, params
-            closed = resolve_relation(inhibition_relation(*params), a, b)
+            closed = index_pairs(inhibition_relation(*params), a, b)
             assert closed <= rel, params
         elapsed = time.monotonic() - started
         assert elapsed < 30.0
@@ -215,7 +215,7 @@ class TestCriterion8:
         checked = 0
         for _, lts_a, _, lts_b, _ in pool:
             for lts in (lts_a, lts_b):
-                for t in lts.transitions:
+                for t in transitions(lts):
                     entries = t.label.entries
                     # well-formed labels: one entry per species
                     assert len({e.species for e in entries}) == len(entries)
@@ -237,7 +237,7 @@ class TestCriterion8:
             for y in basis:
                 values = {dot(y, s) for s in lts_a.states}
                 assert len(values) == 1  # constant on the whole derivative set
-                for t in lts_a.transitions:
+                for t in transitions(lts_a):
                     assert dot(y, lts_a.states[t.src]) == dot(y, lts_a.states[t.dst])
             checked += 1
         assert checked >= 2000
@@ -253,7 +253,7 @@ class TestCriterion8:
             for y in slow:
                 changed = False
                 fired_nonzero = False
-                for t in lts_a.transitions:
+                for t in transitions(lts_a):
                     delta = dot(y, lts_a.states[t.dst]) - dot(y, lts_a.states[t.src])
                     if t.label.action in cfg.fast:
                         assert delta == 0, "slow variable moved by a fast step"
@@ -286,9 +286,10 @@ class TestCriterion8:
             delta = frozenset(s for s in species if rng.random() < 0.4)
             aliases = {"B": "A"} if rng.random() < 0.5 else {}
             cfg = EquivConfig(frozenset(), frozenset({"g"}), delta, aliases)
-            whole = filter_label(CapabilityLabel("g", tuple(sorted(w1 | w2))), cfg)
-            left = filter_label(CapabilityLabel("g", tuple(sorted(w1))), cfg)
-            right = filter_label(CapabilityLabel("g", tuple(sorted(w2))), cfg)
+            filtered = _Filtered(cfg)
+            whole = filtered[CapabilityLabel("g", tuple(sorted(w1 | w2)))]
+            left = filtered[CapabilityLabel("g", tuple(sorted(w1)))]
+            right = filtered[CapabilityLabel("g", tuple(sorted(w2)))]
             assert set(whole.entries) == set(left.entries) | set(right.entries)
         _pass(8, time.monotonic() - started, "filter homomorphism on 1000 labels")
 
@@ -322,7 +323,7 @@ class TestCriterion8:
             assert lts_a.n_states < 30
             cfg0 = EquivConfig(
                 fast=frozenset(),
-                slow=lts_a.actions(),
+                slow=frozenset(label.action for label in lts_a.labels),
                 delta=frozenset(lts_a.species_order),
             )
             rel, _ = largest_fast_slow(lts_a, lts_a, cfg0)

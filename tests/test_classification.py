@@ -22,7 +22,6 @@ from fastslow import (
     conserved_basis,
     parse_config,
     parse_model,
-    resolve_relation,
     shortcut_check,
     slow_basis,
     slow_sufficiency,
@@ -37,6 +36,7 @@ from fastslow.classification import (
     unit_species,
     vector_name,
 )
+from fastslow.equivalence import index_pairs
 from oracles import slow_basis_oracle
 from randgen import random_partition, random_system
 from systems import (
@@ -405,7 +405,7 @@ class TestShortcut:
         params = (3, 2, 2)
         a = build_lts(inhibition_full(*params))
         b = build_lts(inhibition_reduced(*params))
-        rel = resolve_relation(inhibition_relation(*params), a, b)
+        rel = index_pairs(inhibition_relation(*params), a, b)
         assert check_fast_slow_relation(rel, a, b, CFG).equivalent
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import builtins
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -544,6 +546,61 @@ class TestCheckCommand:
         assert len(report["inputs"]) == 3
 
 
+class TestInputsReadOnce:
+    """Each input file is read once, and a report's ``inputs`` hold the
+    SHA-256 of the bytes that were read and analysed."""
+
+    @pytest.mark.parametrize("json_report", [False, True])
+    @pytest.mark.parametrize("command", ["check", "classify", "congruence"])
+    def test_one_read_per_input_path(self, fixtures, capsys, tmp_path, monkeypatch, command, json_report):
+        rel = tmp_path / "rel.json"
+        rel.write_text(json.dumps([[list(a), list(b)] for a, b in inhibition_relation(5, 3, 0)]))
+        inhibition = [fixtures / "inhibition_full.bp", fixtures / "inhibition_reduced.bp"]
+        argv = {
+            "check": ["check", *inhibition, "--config", fixtures / "inhibition.cfg", "--relation", rel],
+            "classify": ["classify", inhibition[0], "--config", fixtures / "inhibition.cfg"],
+            "congruence": [
+                "congruence",
+                *(fixtures / m for m in ("burst_a.bp", "burst_b.bp", "drain_ctx.bp")),
+                "--config",
+                fixtures / "burst.cfg",
+            ],
+        }[command]
+        inputs = [arg for arg in argv if isinstance(arg, Path)]
+        reads = []
+        real_open = io.open
+
+        def counted(file, mode="r", *args, **kwargs):
+            if not any(c in mode for c in "wax+"):
+                reads.append(os.fspath(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counted)
+        monkeypatch.setattr(builtins, "open", counted)
+        code, out, _ = run(capsys, *argv, *(["--json", "--deterministic"] if json_report else []))
+        monkeypatch.undo()
+        assert code in (0, 1)
+        assert sorted(reads) == sorted(map(str, inputs))
+        if json_report:
+            digests = {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs}
+            assert json.loads(out)["inputs"] == digests
+
+    def test_newlines_read_as_text_mode_reads_them(self, fixtures, capsys, tmp_path):
+        # the parser sees "\n" wherever the file has "\r\n" or "\r"
+        text = (fixtures / "inhibition.cfg").read_text()
+        for newline in ("\r\n", "\r"):
+            cfg = tmp_path / "crlf.cfg"
+            cfg.write_bytes(text.replace("\n", newline).encode())
+            argv = ["classify", fixtures / "inhibition_full.bp", "--config", cfg, "--json", "--deterministic"]
+            code, out, _ = run(capsys, *argv)
+            expected = run(capsys, *argv[:-3], fixtures / "inhibition.cfg", "--json", "--deterministic")
+            assert code == expected[0] == 0
+            report, plain = json.loads(out), json.loads(expected[1])
+            assert report.pop("inputs")[str(cfg)] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+            plain.pop("inputs")
+            assert report == plain
+
+
 class TestStandardOutputFailure:
     """A write to standard output that fails is reported in one line and
     exits 2, like a failed ``--out``; exit 1 would read as not equivalent."""
@@ -584,30 +641,6 @@ class TestStandardOutputFailure:
         err = reader.stderr.read()
         reader.stderr.close()
         assert (reader.wait(), err) == (2, b"standard output: Broken pipe\n")
-
-
-def test_no_command_builds_the_transition_view(fixtures, capsys, tmp_path, monkeypatch):
-    # every command reads the transition columns; ``Lts.transitions`` is
-    # a view for library callers
-    built = []
-    monkeypatch.setattr(fastslow.Lts, "transitions", property(lambda lts: built.append(lts)))
-    models = [fixtures / "inhibition_full.bp", fixtures / "inhibition_reduced.bp"]
-    config = ["--config", fixtures / "inhibition.cfg"]
-    rel_path = tmp_path / "rel.json"
-    rel_path.write_text(json.dumps([[list(a), list(b)] for a, b in inhibition_relation_transformed(5, 3, 0)]))
-    burst = [fixtures / name for name in ("burst_a.bp", "burst_b.bp", "drain_ctx.bp")]
-    commands = [
-        ["lts", models[0], "--out", tmp_path / "lts.json"],
-        ["lts", models[0], "--format", "dot", *config, "--out", tmp_path / "lts.dot"],
-        *(["check", *models, *config, "--mode", mode, "--json"] for mode in ("fast-slow", "slow")),
-        ["check", *models, *config, "--emit-relation", tmp_path / "largest.json"],
-        ["check", *models, *config, "--mode", "shortcut", "--relation", rel_path],
-        ["congruence", *burst, "--config", fixtures / "burst.cfg"],
-        ["classify", models[0], *config, "--json"],
-    ]
-    codes = [run(capsys, *argv)[0] for argv in commands]
-    assert codes == [0, 0, 0, 0, 0, 0, 1, 0]
-    assert built == []
 
 
 class TestHashSeedIndependence:
@@ -869,6 +902,33 @@ class TestInputsCheckedBeforeBuilding:
         argv = self.check(fixtures, tmp_path, fixtures / "inhibition.cfg", "shortcut", rel)
         uncapped = run(capsys, *argv)
         assert run(capsys, *argv, "--max-states", "1") == uncapped == (5, "", message + "\n")
+
+    @pytest.mark.parametrize("mode", ["fast-slow", "slow", "shortcut"])
+    def test_empty_relation(self, fixtures, capsys, tmp_path, mode):
+        rel = tmp_path / "rel.json"
+        rel.write_text("[]")
+        cfg = fixtures / "inhibition.cfg"
+        err = self.refused(capsys, *self.check(fixtures, tmp_path, cfg, mode, rel))
+        assert err == "empty-relation\n"
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([[[5, 3], [5, 3, 0, 0]]], "no reachable first-model state has level vector [5, 3]"),
+            (
+                [[[5, 3, 0, 0, 0, 0], [5, 3, 0, 0]], [[5, 3, 0, 0, 0, 0], [5, 3, 0, 0, 0]]],
+                "no reachable second-model state has level vector [5, 3, 0, 0, 0]",
+            ),
+        ],
+        ids=["first", "second"],
+    )
+    @pytest.mark.parametrize("mode", ["fast-slow", "slow"])
+    def test_relation_vector_of_the_wrong_length(self, fixtures, capsys, tmp_path, mode, pairs, message):
+        rel = tmp_path / "rel.json"
+        rel.write_text(json.dumps(pairs))
+        cfg = fixtures / "inhibition.cfg"
+        err = self.refused(capsys, *self.check(fixtures, tmp_path, cfg, mode, rel))
+        assert err == message + "\n"
 
     def test_congruence_unpartitioned_action(self, fixtures, capsys, tmp_path):
         cfg = tmp_path / "ab.cfg"

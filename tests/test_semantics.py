@@ -26,24 +26,23 @@ from fastslow import (
     classify,
     compose,
     extend_species,
-    filter_label,
     largest_fast_slow,
-    largest_slow,
     lts_to_dict,
     lts_to_dot,
-    lts_to_json,
     max_level,
     parse_config,
     parse_model,
-    step,
     stoich_matrix,
 )
 from fastslow import semantics
 from oracles import (
     build_lts_oracle,
     fast_edges,
+    filter_oracle,
     lts_from_transitions,
+    step,
     step_tree_oracle,
+    transitions,
     warshall_closure,
     weak_slow_oracle,
 )
@@ -128,7 +127,7 @@ class TestBuildLts:
         assert lts.n_states == 18
         assert lts.n_transitions == 36
         by_action = {}
-        for t in lts.transitions:
+        for t in transitions(lts):
             by_action[t.label.action] = by_action.get(t.label.action, 0) + 1
         assert by_action == {"b1": 12, "bm1": 12, "g": 12}
 
@@ -143,10 +142,10 @@ class TestBuildLts:
         lts = build_lts(inhibition_reduced(5, 3, 0))
         assert lts.n_states == 6
         assert lts.n_transitions == 5
-        assert all(t.label.action == "g" for t in lts.transitions)
+        assert all(t.label.action == "g" for t in transitions(lts))
         expected = [(5 - k, 3, 0, k) for k in range(6)]
         assert list(lts.states) == expected
-        assert [(t.src, t.dst) for t in lts.transitions] == [
+        assert [(t.src, t.dst) for t in transitions(lts)] == [
             (k, k + 1) for k in range(5)
         ]
 
@@ -186,10 +185,10 @@ class TestBuildLts:
         # one entry object per (row, participant, level) that occurs; a
         # row is an action with its participants' names
         lts = build_lts(inhibition_full(60, 6, 3))
-        entries = {id(e) for t in lts.transitions for e in t.label.entries}
+        entries = {id(e) for t in transitions(lts) for e in t.label.entries}
         triples = {
             (t.label.action, tuple(e.species for e in t.label.entries), e.species, e.level)
-            for t in lts.transitions
+            for t in transitions(lts)
             for e in t.label.entries
         }
         assert len(entries) <= len(triples)
@@ -213,7 +212,7 @@ class TestBuildLts:
     def test_level_delta_soundness_sample(self):
         sys = inhibition_full(3, 2, 2)
         lts = build_lts(sys)
-        for t in lts.transitions:
+        for t in transitions(lts):
             deltas = {e.species: e.role.level_delta(e.stoich) for e in t.label.entries}
             for name, before, after in zip(
                 lts.species_order, lts.states[t.src], lts.states[t.dst]
@@ -246,7 +245,7 @@ class TestBuildLts:
         left = build_lts(compose(compose(p, q), r))
         right = build_lts(compose(p, compose(q, r)))
         assert left.states == right.states
-        assert left.transitions == right.transitions
+        assert transitions(left) == transitions(right)
 
 
 def fixture_models(fixtures) -> list[SystemDef]:
@@ -272,13 +271,12 @@ class TestStepAgainstTreeOracle:
             assert set(got) == set(expected)
             for label, _ in got:
                 assert list(label.entries) == sorted(label.entries, key=entry_key)
-            assert got == sorted(got, key=lambda move: (move[1], label_key(move[0])))
-            out = [(t.label, lts.states[t.dst]) for t in lts.transitions if t.src == i]
-            assert len(out) == len(expected)
-            assert set(out) == set(expected)
-            keys = [label_key(label) for label, _ in out]
+            keys = [label_key(label) for label, _ in got]
             assert keys == sorted(keys)
-        keys = [(t.src, label_key(t.label), t.dst) for t in lts.transitions]
+            # the build keeps each state's moves in the order a step yields them
+            lo, hi = lts.starts[i], lts.starts[i + 1]
+            assert [(label, lts.states[t]) for label, t in zip(lts.labels[lo:hi], lts.targets[lo:hi])] == got
+        keys = [(t.src, label_key(t.label), t.dst) for t in transitions(lts)]
         assert keys == sorted(keys)
 
     @pytest.mark.parametrize("sync_all", [True, False])
@@ -323,7 +321,7 @@ class TestBuildAgainstOracle:
         lts, expected = build_lts(sys), build_lts_oracle(sys)
         assert lts.species_order == expected.species_order
         assert lts.states == expected.states
-        assert lts.transitions == expected.transitions
+        assert transitions(lts) == transitions(expected)
         assert lts == expected
 
     @pytest.mark.parametrize("sync_all", [True, False])
@@ -361,8 +359,8 @@ def layout_cases(fixtures):
 
 class TestColumnarLayout:
     """State ``s``'s transitions are the slice ``starts[s]:starts[s + 1]``
-    of the label and target columns; ``transitions`` is a view of them
-    that no path of the package builds."""
+    of the label and target columns, which ``oracles.transitions`` lists
+    as tuples."""
 
     def test_starts_bound_one_slice_per_state(self, fixtures):
         for lts in layout_cases(fixtures):
@@ -375,11 +373,11 @@ class TestColumnarLayout:
 
     def test_rebuilt_from_its_transitions(self, fixtures):
         for lts in layout_cases(fixtures):
-            view = lts.transitions
+            view = transitions(lts)
             assert [t.src for t in view] == sorted(t.src for t in view)
             rebuilt = lts_from_transitions(lts.species_order, lts.states, lts.initial, view)
             assert rebuilt == lts
-            assert rebuilt.transitions == view
+            assert transitions(rebuilt) == view
 
     @pytest.mark.parametrize(
         "columns",
@@ -389,22 +387,6 @@ class TestColumnarLayout:
         with pytest.raises(ValueError, match="^transition columns do not match the states$"):
             Lts(("A",), ((0,), (1,)), 0, *columns)
 
-    def test_no_analysis_builds_the_transition_view(self, fixtures):
-        cfg = parse_config((fixtures / "inhibition.cfg").read_text())
-        a = build_lts(inhibition_full(5, 3, 1))
-        b = build_lts(inhibition_reduced(5, 3, 1))
-        lts_to_json(a)
-        lts_to_dot(a)
-        lts_to_dot(a, cfg)
-        views = WeakViews(a, cfg)
-        for s in range(a.n_states):
-            for d in views.fast_steps(s):
-                views.fast_step_actions(s, d)
-        largest_fast_slow(a, b, cfg)
-        largest_slow(a, b, cfg)
-        assert "transitions" not in vars(a)
-        assert "transitions" not in vars(b)
-
     def test_fast_step_actions_against_every_transition(self):
         for case in range(100):
             _, a, _, _, cfg = random_case(case, seed="fast-step-actions")
@@ -412,9 +394,10 @@ class TestColumnarLayout:
                 views = WeakViews(a, cfg)
             except UnpartitionedActionError:
                 continue
+            moves = transitions(a)
             for s in range(a.n_states):
                 for d in range(a.n_states):
-                    expected = {t.label.action for t in a.transitions if (t.src, t.dst) == (s, d)}
+                    expected = {t.label.action for t in moves if (t.src, t.dst) == (s, d)}
                     assert views.fast_step_actions(s, d) == tuple(sorted(expected & cfg.fast))
 
     def test_tracked_objects_grow_with_labels_not_transitions(self):
@@ -455,7 +438,7 @@ class TestGeneratedStep:
             "system = state[2] <*> out[0] <*> t[1] <*> x0[1] <*> k[0] <*> lab[2];\n"
         )
         lts = build_lts(sys)
-        assert lts.actions() == {"state", "out", "t", "x0", "k", "lab"}
+        assert {label.action for label in lts.labels} == {"state", "out", "t", "x0", "k", "lab"}
         assert lts.n_states > 100
         TestBuildAgainstOracle.assert_same(sys)
 
@@ -484,7 +467,7 @@ class TestGeneratedStep:
             "system = A[0] <*> B[2] <*> C[2];\n"
         )
         lts = build_lts(sys)
-        assert sum(t.label.action == "h" for t in lts.transitions) == lts.n_states
+        assert sum(t.label.action == "h" for t in transitions(lts)) == lts.n_states
         TestBuildAgainstOracle.assert_same(sys)
         TestStepAgainstTreeOracle.assert_agrees(sys)
 
@@ -507,6 +490,11 @@ class TestGeneratedStep:
             build_lts(sys)
 
 
+def filter_label(label: CapabilityLabel, cfg: EquivConfig) -> CapabilityLabel:
+    """``label`` filtered the package's one way, by a fresh cache."""
+    return semantics._Filtered(cfg)[label]
+
+
 class TestFilterLabel:
     CFG = inhibition_config()
 
@@ -519,9 +507,9 @@ class TestFilterLabel:
                 entry("SE", Role.REACTANT, 1),
             ),
         )
-        filtered = filter_label(label, self.CFG)
-        assert filtered.action == "g"
-        assert filtered.entries == (entry("P", Role.PRODUCT, 1, 2),)
+        out = filter_label(label, self.CFG)
+        assert out.action == "g"
+        assert out.entries == (entry("P", Role.PRODUCT, 1, 2),)
 
     def test_alias_renames(self):
         label = CapabilityLabel("g", (entry("P'", Role.PRODUCT, 4),))
@@ -579,6 +567,18 @@ class TestFilterLabel:
         assert set(whole.entries) == set(left.entries) | set(right.entries)
         # renaming B to A can reorder entries and merge two into one
         assert list(whole.entries) == sorted(set(whole.entries), key=entry_key)
+        assert whole == filter_oracle(CapabilityLabel("g", tuple(sorted(w1 | w2))), cfg)
+
+    def test_one_object_per_filtered_label(self):
+        lts = build_lts(inhibition_full(20, 5, 2))
+        cfg = inhibition_config()
+        filtered = semantics._Filtered(cfg)
+        made = {}
+        for label in lts.labels:
+            out = filtered[label]
+            assert out == filter_oracle(label, cfg)
+            assert made.setdefault(out, out) is out
+        assert len(made) < len(set(lts.labels))
 
 
 class TestWeakViews:
@@ -624,7 +624,7 @@ class TestWeakViews:
         assert views.fast_step_actions(bound, start) == ("bm1",)
         assert views.fast_step_actions(bound, made) == ()  # g is slow
         assert views.fast_step_actions(start, made) == ()  # no step at all
-        fast = [t for t in lts.transitions if t.label.action in cfg.fast]
+        fast = [t for t in transitions(lts) if t.label.action in cfg.fast]
         assert {t.label.action for t in fast} == {"b1", "bm1"}
         for t in fast:
             assert views.fast_step_actions(t.src, t.dst) == (t.label.action,)
@@ -643,7 +643,7 @@ class TestWeakViews:
             "max A = 1;\nspecies A = (m,1) << A + (z,1) >> A;\nsystem = A[0];\n"
         )
         lts = build_lts(two)
-        assert [t.label.action for t in lts.transitions] == ["z", "m"]
+        assert [t.label.action for t in transitions(lts)] == ["z", "m"]
         with pytest.raises(UnpartitionedActionError) as err:
             WeakViews(lts, EquivConfig(fast=frozenset(), slow=frozenset()))
         assert err.value.action == "m"
@@ -653,7 +653,7 @@ class TestWeakViews:
         # are tree-agnostic even where classification would not be
         for case in range(40):
             _, lts = random_small_lts(f"views:{case}", sync_all=False)
-            actions = sorted({t.label.action for t in lts.transitions})
+            actions = sorted({t.label.action for t in transitions(lts)})
             rng = random.Random(f"views-cfg:{case}")
             fast = frozenset(a for a in actions if rng.random() < 0.5)
             cfg = EquivConfig(
@@ -780,10 +780,10 @@ class TestExports:
         s1, s2, ctx, cfg = burst_systems()
         lts_shared = build_lts(compose(s1, ctx))
         assert list(lts_shared.states) == [(0, 1), (2, 0), (0, 0)]
-        assert [(t.src, t.label.action, t.dst) for t in lts_shared.transitions] == [
+        assert [(t.src, t.label.action, t.dst) for t in transitions(lts_shared)] == [
             (0, "a", 1),
             (1, "g", 2),
         ]
         lts_free = build_lts(compose(s2, ctx))
-        gammas = [t for t in lts_free.transitions if t.label.action == "g"]
+        gammas = [t for t in transitions(lts_free) if t.label.action == "g"]
         assert len(gammas) >= 2  # repeatable drain

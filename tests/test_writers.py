@@ -26,18 +26,16 @@ from fastslow import (
     Role,
     SpeciesDef,
     SystemDef,
-    Transition,
     build_lts,
     largest_fast_slow,
     largest_slow,
-    filter_label,
     lts_to_dict,
     lts_to_dot,
     lts_to_json,
     parse_config,
     relation_to_json,
 )
-from oracles import dot_oracle, lts_from_transitions
+from oracles import Transition, dot_oracle, filter_oracle, lts_from_transitions, transitions
 from randgen import random_case
 from systems import inhibition_config, inhibition_full, inhibition_reduced, pathway
 
@@ -93,8 +91,8 @@ def test_dot_against_the_edge_by_edge_oracle(sync_all):
             # every entry survives the first configuration, so a shorter
             # filtered label has merged two entries
             merged += sum(
-                len(filter_label(t.label, configs[0]).entries) < len(t.label.entries)
-                for t in lts.transitions
+                len(filter_oracle(t.label, configs[0]).entries) < len(t.label.entries)
+                for t in transitions(lts)
             )
     assert merged > 50
 
