@@ -21,7 +21,9 @@ import json
 import os
 import sys
 import time
+from itertools import chain, islice
 from pathlib import Path
+from typing import Iterable
 
 from . import classification, equivalence, parser, semantics
 from .model import ModelError, extend_species
@@ -56,10 +58,24 @@ def _read(args, path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _write(path: str, *texts: str) -> None:
+# pieces of a document joined into one write: a document is held as text
+# one batch at a time, never whole
+BATCH = 512
+
+
+def _stream(out, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to ``out`` in order, ``BATCH`` of them at a time."""
+    pieces = iter(pieces)
+    while batch := list(islice(pieces, BATCH)):
+        out.write("".join(batch))
+
+
+def _write(path: str, pieces: Iterable[str]) -> None:
+    """Stream ``pieces`` into the file at ``path``; a failed write leaves
+    what was written so far."""
     try:
         with open(path, "w", encoding="utf-8") as out:
-            out.writelines(texts)
+            _stream(out, pieces)
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}") from None
 
@@ -120,16 +136,15 @@ def cmd_lts(args) -> int:
     cfg = _load(args, args.config, parser.parse_config) if args.config else None
     lts = semantics.build_lts(sys_def, max_states=args.max_states)
     if args.format == "dot":
-        document = (semantics.lts_to_dot(lts, cfg),)
+        document = semantics.lts_dot_pieces(lts, cfg)
     else:
-        # the newline is written on its own: appending it copies the document
-        document = (semantics.lts_to_json(lts), "\n")
+        document = chain(semantics.lts_json_pieces(lts), ("\n",))
     counts = f"{lts.n_states} states, {lts.n_transitions} transitions"
     if args.out:
-        _write(args.out, *document)
+        _write(args.out, document)
         print(counts)
     else:
-        sys.stdout.writelines(document)
+        _stream(sys.stdout, document)
         print(counts, file=sys.stderr)
     return EXIT_OK
 
@@ -207,7 +222,8 @@ def cmd_check(args) -> int:
     else:
         rel, outcome = largest(lts_a, lts_b, cfg)
         if args.emit_relation:
-            _write(args.emit_relation, equivalence.relation_to_json(rel, lts_a, lts_b), "\n")
+            pieces = equivalence.relation_json_pieces(rel, lts_a, lts_b)
+            _write(args.emit_relation, chain(pieces, ("\n",)))
 
     report = _report(
         args,

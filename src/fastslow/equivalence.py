@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
 
 from .model import EquivConfig, SystemDef, compose
 from .semantics import (
@@ -447,11 +447,29 @@ def index_pairs(pairs: Iterable[tuple[State, State]], a: Lts, b: Lts) -> Relatio
 def relation_to_json(rel: Relation, a: Lts, b: Lts) -> str:
     """The relation as a JSON array of [first-vector, second-vector] pairs
     in ``sorted(rel)`` order, laid out as ``json.dumps(indent=2)`` lays it
-    out.  Each state's vector is rendered once, and the document joined once."""
-    left = {p: json_array(list(map(str, a.states[p])), "    ") for p in {p for p, _ in rel}}
-    right = {q: json_array(list(map(str, b.states[q])), "    ") for q in {q for _, q in rel}}
-    pieces = ["["]
-    for p, q in sorted(rel):
-        pieces += ("\n  [\n    ", left[p], ",\n    ", right[q], "\n  ],")
-    pieces[-1] = "\n  ]\n]" if rel else "[]"
-    return "".join(pieces)
+    out: the pieces of ``relation_json_pieces``, joined once."""
+    return "".join(relation_json_pieces(rel, a, b))
+
+
+def relation_json_pieces(rel: Relation, a: Lts, b: Lts) -> Iterator[str]:
+    """The pieces of ``relation_to_json``'s document, in order: a pair
+    yields its two vectors, each rendered once per state together with
+    the brackets and separators around it."""
+    if not rel:
+        yield "[]"
+        return
+    left = {p: ",\n  [\n    " + _vector_json(a.states[p]) + ",\n    " for p in {p for p, _ in rel}}
+    right = {q: _vector_json(b.states[q]) + "\n  ]" for q in {q for _, q in rel}}
+    pairs = iter(sorted(rel))
+    p, q = next(pairs)
+    # the first pair follows the opening bracket, not a comma
+    yield "[" + left[p][1:]
+    yield right[q]
+    for p, q in pairs:
+        yield left[p]
+        yield right[q]
+    yield "\n]"
+
+
+def _vector_json(state: State) -> str:
+    return json_array(list(map(str, state)), "    ")

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .model import (
     CompositionTree,
@@ -510,16 +510,15 @@ class WeakViews:
         lo = 0
         for hi in lts.starts[1:]:
             steps: set[int] = set()
-            moves: list[tuple[CapabilityLabel, int]] = []
+            # the distinct slow moves, in first-seen order
+            moves: dict[tuple[CapabilityLabel, int], None] = {}
             # an action name hashes once; a label only for a slow move
             for label, dst in islice(steps_of, hi - lo):
                 action = label.action
                 if action in fast_actions:
                     steps.add(dst)
                 elif action in slow_actions:
-                    move = (filtered[label], dst)
-                    if move not in moves:
-                        moves.append(move)
+                    moves[filtered[label], dst] = None
                 else:
                     unpartitioned.add(action)
             lo = hi
@@ -647,27 +646,42 @@ def _entry_json(e: LabelEntry) -> str:
 
 def lts_to_json(lts: Lts) -> str:
     """``json.dumps(lts_to_dict(lts), indent=2)``, written without the
-    pure-Python encoder that ``indent`` selects.
+    pure-Python encoder that ``indent`` selects: the pieces of
+    ``lts_json_pieces``, joined once."""
+    return "".join(lts_json_pieces(lts))
+
+
+def lts_json_pieces(lts: Lts) -> Iterator[str]:
+    """The pieces of ``lts_to_json``'s document, in order.
 
     Each distinct entry is rendered once, and so is each distinct label's
     body, from its ``"action"`` through the ``"dst": `` key.  Each state
     index is rendered once, and each source's head (the end of the
     transition before, the opening brace and ``"src"``) once per state.
-    A transition adds its source's head, its label's body and its
-    target's index to one list of pieces, which is joined once into the
-    document.
+    A transition yields its source's head, its label's body and its
+    target's index.
     """
     names = [str(i) for i in range(lts.n_states)]
     species = [_json_str(name) for name in lts.species_order]
-    states = [json_array(list(map(str, s)), "    ") for s in lts.states]
-    pieces = [
-        "{\n",
-        f'  "species": {json_array(species, "  ")},\n',
-        f'  "states": {json_array(states, "  ")},\n',
-        f'  "initial": {lts.initial},\n',
-        '  "transitions": [',
-    ]
-    first = len(pieces)
+    yield "{\n"
+    yield f'  "species": {json_array(species, "  ")},\n'
+    states = json_array([json_array(list(map(str, s)), "    ") for s in lts.states], "  ")
+    yield f'  "states": {states},\n'
+    yield f'  "initial": {lts.initial},\n'
+    moves = _transition_pieces(lts, names)
+    head = next(moves, None)
+    if head is None:
+        yield '  "transitions": []\n}'
+        return
+    # the first transition closes none before it
+    yield '  "transitions": [' + head[len("\n    },") :]
+    yield from moves
+    yield "\n    }\n  ]\n}"
+
+
+def _transition_pieces(lts: Lts, names: list[str]) -> Iterator[str]:
+    """Each transition's head, body and target index, in order; every
+    head, the first one's too, starts by closing a transition before it."""
     starts, labels, targets = lts.starts, lts.labels, lts.targets
     entries: dict[LabelEntry, str] = {}
     bodies: dict[CapabilityLabel, str] = {}
@@ -684,30 +698,30 @@ def lts_to_json(lts: Lts) -> str:
                     f',\n      "action": {_json_str(label.action)},\n'
                     f'      "entries": {json_array(rendered, "      ")},\n      "dst": '
                 )
-            pieces += (head, body, names[dst])
-    if len(pieces) == first:
-        pieces.append("]\n}")
-    else:
-        # the first transition closes none before it
-        pieces[first] = pieces[first][len("\n    },") :]
-        pieces.append("\n    }\n  ]\n}")
-    return "".join(pieces)
+            yield head
+            yield body
+            yield names[dst]
 
 
 def lts_to_dot(lts: Lts, cfg: EquivConfig | None = None) -> str:
-    """Graphviz rendering: level-vector nodes, action-labelled edges.
+    """Graphviz rendering: level-vector nodes, action-labelled edges; the
+    pieces of ``lts_dot_pieces``, joined once."""
+    return "".join(lts_dot_pieces(lts, cfg))
+
+
+def lts_dot_pieces(lts: Lts, cfg: EquivConfig | None = None) -> Iterator[str]:
+    """The pieces of ``lts_to_dot``'s document, in order.
 
     With a configuration, edges also show the filtered label entries;
     each distinct filtered label is rendered once.  Each state index is
-    rendered once, and so is each source's head; an edge adds its
-    source's head, its target's index and its label's text to one list
-    of pieces, which is joined once into the document.
+    rendered once, and so is each source's head; an edge yields its
+    source's head, its target's index and its label's text.
     """
     names = [str(i) for i in range(lts.n_states)]
-    pieces = ["digraph lts {\n  rankdir=LR;\n  node [shape=box];\n"]
+    yield "digraph lts {\n  rankdir=LR;\n  node [shape=box];\n"
     for i, state in enumerate(lts.states):
         shape = ' peripheries=2' if i == lts.initial else ""
-        pieces.append(f'  {names[i]} [label="{format_state(state)}"{shape}];\n')
+        yield f'  {names[i]} [label="{format_state(state)}"{shape}];\n'
     starts, labels, targets = lts.starts, lts.labels, lts.targets
     filtered = None if cfg is None else _Filtered(cfg)
     # an edge's label text, by action, or by filtered label under a
@@ -727,6 +741,7 @@ def lts_to_dot(lts: Lts, cfg: EquivConfig | None = None) -> str:
                     inner = " ".join(map(str, key.entries))
                     text = f"{text}; {{{inner}}}"
                 tail = tails[key] = f' [label="{text}"];\n'
-            pieces += (head, names[dst], tail)
-    pieces.append("}\n")
-    return "".join(pieces)
+            yield head
+            yield names[dst]
+            yield tail
+    yield "}\n"

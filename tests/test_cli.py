@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import fastslow
-from fastslow import equivalence
+from fastslow import cli, equivalence
 from fastslow.cli import main
 from fastslow.parser import render_model
 from systems import inhibition_full, inhibition_relation, inhibition_relation_transformed
@@ -188,6 +188,33 @@ class TestLtsCommand:
         assert (code, out) == (2, "")
         assert err == f"{out_path}: No such file or directory\n"
         assert "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_out_to_a_full_device_exits_2(self, fixtures, capsys):
+        code, out, err = run(capsys, "lts", fixtures / "inhibition_full.bp", "--out", "/dev/full")
+        assert (code, out, err) == (2, "", "/dev/full: No space left on device\n")
+
+    def test_failed_write_leaves_the_batches_before_it(self, capsys, tmp_path, monkeypatch):
+        # the document is streamed: a write that fails after the first
+        # batch leaves that batch in the file and still exits 2 in one line
+        class FullAfterOneWrite(io.StringIO):
+            def write(self, text):
+                if written:
+                    raise OSError(28, "No space left on device")
+                written.append(text)
+                return len(text)
+
+        written = []
+        monkeypatch.setattr(cli, "BATCH", 4)
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullAfterOneWrite(), raising=False)
+        path = tmp_path / "m.bp"
+        path.write_text(render_model(inhibition_full(3, 2, 1)))
+        code, out, err = run(capsys, "lts", path, "--out", "x.json")
+        assert (code, out, err) == (2, "", "x.json: No space left on device\n")
+        document = fastslow.lts_to_json(fastslow.build_lts(inhibition_full(3, 2, 1)))
+        assert len(written) == 1
+        assert 0 < len(written[0]) < len(document)
+        assert document.startswith(written[0])
 
 
 class TestCheckCommand:

@@ -731,6 +731,23 @@ class TestWeakViews:
         assert closure == frozenset(range(3001))
         assert peak < 20 * 2**20
 
+    def test_two_rows_giving_one_filtered_move_keep_it_once(self):
+        # r fires as A with X or as B with X; the activators are filtered
+        # out, so both rows give the move (r, {X:>>(0,1)}) to one state
+        lts = build_lts(
+            parse_model(
+                "max A = 1;\nmax B = 1;\nmax X = 1;\n"
+                "species A = (r,1) (+) A;\nspecies B = (r,1) (+) B;\n"
+                "species X = (r,1) >> X + (s,1) >> X;\n"
+                "system = (A[1] <> B[1]) <r> X[0];\n"
+            )
+        )
+        cfg = parse_config("slow: r, s\ndelta: X\n")
+        moves = [(filter_oracle(t.label, cfg), t.dst) for t in transitions(lts) if t.src == 0]
+        assert [label.action for label, _ in moves] == ["r", "r", "s"]
+        assert moves[0] == moves[1]
+        assert WeakViews(lts, cfg).slow_strong(0) == (moves[0], moves[2])
+
 
 class TestExtensionIsomorphism:
     def test_extend_both_ways_isomorphic(self):

@@ -6,13 +6,16 @@ Every output here must equal, byte for byte, what ``json.dumps`` with
 system is ``lts_to_dict``, and for a relation the list of
 [first-vector, second-vector] pairs in ``sorted(rel)`` order.
 ``lts_to_dot`` renders each distinct filtered label once; it must equal
-``oracles.dot_oracle``, which filters and renders every edge.
+``oracles.dot_oracle``, which filters and renders every edge.  The CLI
+streams the same pieces into its files in batches, and the files must
+equal the library's strings wherever a batch ends.
 """
 
 from __future__ import annotations
 
 import json
 import tracemalloc
+from itertools import chain
 
 import pytest
 
@@ -35,6 +38,9 @@ from fastslow import (
     parse_config,
     relation_to_json,
 )
+from fastslow import cli
+from fastslow.equivalence import relation_json_pieces
+from fastslow.semantics import lts_dot_pieces, lts_json_pieces
 from oracles import Transition, dot_oracle, filter_oracle, lts_from_transitions, transitions
 from randgen import random_case
 from systems import inhibition_config, inhibition_full, inhibition_reduced, pathway
@@ -195,3 +201,72 @@ def test_relation_to_json_holds_little_beyond_its_document():
     assert len(rel) == 6061
     peak, document = traced_peak(lambda: relation_to_json(rel, lts, lts))
     assert peak < 2.0 * len(document)
+
+
+# The CLI writes ``cli.BATCH`` pieces at a time, so it holds one batch of
+# text, not the document; what it keeps beyond that grows with the states
+# and distinct labels (a rendering per state index, a body or label text
+# per distinct label).  On inhibition almost every label is distinct, so
+# its kept bodies alone are about the size of the document: pathway's
+# labels repeat.
+
+
+def streamed_peak(path, pieces) -> int:
+    """The ``tracemalloc`` peak while ``cli._write`` streams ``pieces``
+    into ``path``; the pieces are rendered as they are written."""
+    tracemalloc.start()
+    try:
+        cli._write(path, pieces)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_relation_holds_less_than_its_document(tmp_path):
+    model, cfg = pathway(3, 4)
+    lts = build_lts(model)
+    rel, _ = largest_slow(lts, lts, cfg)
+    assert len(rel) == 6061
+    path = tmp_path / "rel.json"
+    peak = streamed_peak(path, relation_json_pieces(rel, lts, lts))
+    assert path.read_text() == relation_to_json(rel, lts, lts)
+    assert peak < 1.0 * path.stat().st_size
+
+
+def test_streamed_lts_documents_hold_less_than_themselves(tmp_path):
+    model, cfg = pathway(4, 6)
+    lts = build_lts(model)
+    for name, pieces, document in (
+        ("lts.json", lts_json_pieces(lts), lts_to_json),
+        ("lts.dot", lts_dot_pieces(lts, cfg), lambda lts: lts_to_dot(lts, cfg)),
+    ):
+        path = tmp_path / name
+        peak = streamed_peak(path, pieces)
+        assert path.read_text() == document(lts), name
+        assert peak < 1.0 * path.stat().st_size, name
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 5, cli.BATCH])
+def test_streamed_files_equal_the_library_strings(tmp_path, monkeypatch, batch):
+    # a batch of one writes the first transition's trimmed head alone
+    monkeypatch.setattr(cli, "BATCH", batch)
+    model, cfg = pathway(3, 4)
+    lts = build_lts(model)
+    rel, _ = largest_slow(lts, lts, cfg)
+    idle = build_lts(one_species("A", (Prefix("r", 1, Role.REACTANT),), 0))
+    assert idle.n_transitions == 0
+    cases = [
+        (lts_json_pieces(lts), lts_to_json(lts)),
+        (lts_dot_pieces(lts, cfg), lts_to_dot(lts, cfg)),
+        (lts_dot_pieces(lts), lts_to_dot(lts)),
+        (relation_json_pieces(rel, lts, lts), relation_to_json(rel, lts, lts)),
+        (lts_json_pieces(idle), lts_to_json(idle)),
+        (lts_dot_pieces(idle), lts_to_dot(idle)),
+        (relation_json_pieces(frozenset(), idle, idle), "[]"),
+    ]
+    for case, (pieces, document) in enumerate(cases):
+        path = tmp_path / f"{case}.out"
+        cli._write(path, chain(pieces, ("\n",)))
+        assert path.read_text() == document + "\n", case
+    # the relation runs to several batches of the default size
+    assert 2 * len(rel) > 4 * cli.BATCH
