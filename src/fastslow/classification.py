@@ -98,11 +98,6 @@ class StoichMatrix:
     def n_species(self) -> int:
         return len(self.species)
 
-    def column(self, reaction: str) -> IntVector:
-        """The column named ``reaction``."""
-        j = self.reactions.index(reaction)
-        return tuple(row[j] for row in self.entries)
-
     def columns_for(self, actions: frozenset[str]) -> list[list[int]]:
         """The submatrix of the instances of ``actions``."""
         cols = [j for j, a in enumerate(self.actions) if a in actions]

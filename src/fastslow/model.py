@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 class ModelError(Exception):
@@ -107,29 +109,13 @@ class Node:
     coop: frozenset[str] | None
     right: "Leaf | Node"
 
-    def _preorder(self) -> tuple:
-        """Each node's ``coop`` and each leaf, in pre-order.
-
-        Every node has two children, so the sequence determines the tree.
-        """
-        out: list = []
-        stack: list[Leaf | Node] = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                out.append(node)
-            else:
-                out.append(node.coop)
-                stack += [node.right, node.left]
-        return tuple(out)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Node):
             return NotImplemented
-        return self._preorder() == other._preorder()
+        return preorder(self) == preorder(other)
 
     def __hash__(self) -> int:
-        return hash(self._preorder())
+        return hash(preorder(self))
 
     def __repr__(self) -> str:
         """The dataclass ``repr``, written from an explicit stack."""
@@ -146,37 +132,57 @@ class Node:
 
     def __reduce__(self):
         # copy and pickle take the flat pre-order sequence, not the tree
-        return _tree_from_preorder, (self._preorder(),)
-
-
-def _tree_from_preorder(items: tuple) -> "Leaf | Node":
-    """The tree whose ``Node._preorder()`` is ``items``.
-
-    Read backwards, each ``coop`` takes the two subtrees finished last:
-    its left child first, then its right.
-    """
-    done: list[Leaf | Node] = []
-    for item in reversed(items):
-        if isinstance(item, Leaf):
-            done.append(item)
-        else:
-            left = done.pop()
-            done.append(Node(left, item, done.pop()))
-    return done[0]
+        return _tree_from_preorder, (preorder(self),)
 
 
 CompositionTree = Leaf | Node
 
 
-def tree_leaves(tree: CompositionTree) -> Iterator[Leaf]:
-    """The leaves from left to right, without recursion."""
+def preorder(tree: CompositionTree) -> tuple:
+    """Each node's ``coop`` and each leaf of ``tree``, in pre-order; a
+    bare leaf is its own one-item sequence.
+
+    Every node has two children, so the sequence determines the tree.
+    """
+    out: list = []
     stack = [tree]
     while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            yield node
+        item = stack.pop()
+        if isinstance(item, Leaf):
+            out.append(item)
         else:
-            stack += [node.right, node.left]
+            out.append(item.coop)
+            stack += [item.right, item.left]
+    return tuple(out)
+
+
+def fold(items: Sequence, leaf: Callable[[Leaf], T], node: Callable[..., T]) -> T:
+    """The tree whose ``preorder`` is ``items``, combined bottom-up:
+    ``leaf`` gives each leaf's value, ``node(coop, left, right)`` each
+    node's from its children's.
+
+    Read backwards, each ``coop`` takes the two values finished last: its
+    left child's first, then its right.  So ``node`` runs on the nodes in
+    reverse pre-order, after both its children.
+    """
+    done: list[T] = []
+    for item in reversed(items):
+        if isinstance(item, Leaf):
+            done.append(leaf(item))
+        else:
+            left = done.pop()
+            done.append(node(item, left, done.pop()))
+    return done[0]
+
+
+def _tree_from_preorder(items: tuple) -> CompositionTree:
+    """The tree whose ``preorder`` is ``items``; pickles refer to it."""
+    return fold(items, lambda leaf: leaf, lambda coop, left, right: Node(left, coop, right))
+
+
+def tree_leaves(tree: CompositionTree) -> list[Leaf]:
+    """The leaves from left to right."""
+    return [item for item in preorder(tree) if isinstance(item, Leaf)]
 
 
 @dataclass(frozen=True)
@@ -295,33 +301,26 @@ def _system_problems(sys: SystemDef) -> Iterator[tuple[str | None, str]]:
         if name not in placed:
             yield name, f"unused-species({name})"
 
-    # One post-order walk gives every subtree's action set, the smaller
-    # child merged into the larger.  Nodes are first met in pre-order,
-    # the order their problems are reported in.
-    dangling: list[list[str]] = []  # per node, in pre-order
-    done: list[set[str]] = []
-    stack: list[tuple[CompositionTree, int | None]] = [(sys.tree, None)]
-    while stack:
-        node, met = stack.pop()
-        if isinstance(node, Leaf):
-            d = defs.get(node.species)
-            done.append(set(d.actions()) if d is not None else set())
-        elif met is None:
-            stack += [(node, len(dangling)), (node.right, None), (node.left, None)]
-            dangling.append([])
-        else:
-            right = done.pop()
-            left = done.pop()
-            if node.coop is not None:
-                dangling[met] = [
-                    f"dangling-coop-action({a})"
-                    for a in sorted(node.coop)
-                    if a not in left or a not in right
-                ]
-            big, small = (left, right) if len(left) >= len(right) else (right, left)
-            big |= small
-            done.append(big)
-    for found in dangling:
+    # One fold gives every subtree's action set, the smaller child merged
+    # into the larger.  It meets the nodes in reverse pre-order, so their
+    # problems are reported reversed.
+    dangling: list[list[str]] = []
+
+    def actions(leaf: Leaf) -> set[str]:
+        d = defs.get(leaf.species)
+        return set(d.actions()) if d is not None else set()
+
+    def merge(coop: frozenset[str] | None, left: set[str], right: set[str]) -> set[str]:
+        if coop is not None:
+            dangling.append(
+                [f"dangling-coop-action({a})" for a in sorted(coop) if a not in left or a not in right]
+            )
+        big, small = (left, right) if len(left) >= len(right) else (right, left)
+        big |= small
+        return big
+
+    fold(preorder(sys.tree), actions, merge)
+    for found in reversed(dangling):
         for problem in found:
             yield None, problem
 

@@ -146,22 +146,9 @@ def minimal_semiflows(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]] 
     if nrows == 0:
         return []
     ncols = len(matrix[0])
-    table: list[tuple[list[int], list[int]]] = [
-        (list(matrix[i]), [1 if j == i else 0 for j in range(nrows)])
-        for i in range(nrows)
+    table: list[tuple[IntVector, IntVector]] = [
+        (tuple(matrix[i]), tuple(int(j == i) for j in range(nrows))) for i in range(nrows)
     ]
-
-    def normalised(res: list[int], inv: list[int]) -> tuple[list[int], list[int]]:
-        g = 0
-        for x in res:
-            g = gcd(g, abs(x))
-        for x in inv:
-            g = gcd(g, abs(x))
-        if g > 1:
-            res = [x // g for x in res]
-            inv = [x // g for x in inv]
-        return res, inv
-
     for col in range(ncols):
         keep = [(r, y) for r, y in table if r[col] == 0]
         plus = [(r, y) for r, y in table if r[col] > 0]
@@ -171,10 +158,9 @@ def minimal_semiflows(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]] 
         for rp, yp in plus:
             for rm, ym in minus:
                 a, b = -rm[col], rp[col]
-                res = [a * u + b * v for u, v in zip(rp, rm)]
-                inv = [a * u + b * v for u, v in zip(yp, ym)]
-                keep.append(normalised(res, inv))
-        pruned: list[tuple[list[int], list[int]]] = []
+                row = _primitive([a * u + b * v for u, v in zip((*rp, *yp), (*rm, *ym))], 1)
+                keep.append((row[:ncols], row[ncols:]))
+        pruned: list[tuple[IntVector, IntVector]] = []
         supports: list[frozenset[int]] = []
         order = sorted(keep, key=lambda t: sum(1 for x in t[1] if x))
         for r, y in order:
@@ -184,5 +170,5 @@ def minimal_semiflows(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]] 
             supports.append(sup)
             pruned.append((r, y))
         table = pruned
-    flows = sorted(set(tuple(y) for _, y in table))
+    flows = sorted(set(y for _, y in table))
     return [f for f in flows if any(f)]

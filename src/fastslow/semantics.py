@@ -12,9 +12,10 @@ merged.
 Each model is compiled once into a table with one row per reaction
 instance: an action together with the leaves that fire it jointly, each
 with its state index, the levels ``lo..hi`` at which it can take part,
-and its level delta.  The rows come from one walk of the cooperation
-tree, since each species offers at most one prefix per action; the
-stoichiometry matrix in ``classification`` reads the same rows.
+and its level delta.  The rows come from one ``model.fold`` over the
+cooperation tree's ``model.preorder``, since each species offers at most
+one prefix per action; the stoichiometry matrix in ``classification``
+reads the same rows.
 
 A step runs one Python function generated from the rows, which tests
 every row's guards as inline comparisons and fires the rows that pass.
@@ -39,6 +40,7 @@ participants' names do.  Rows therefore sort once by action and names.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -54,7 +56,9 @@ from .model import (
     Role,
     SpeciesDef,
     SystemDef,
+    fold,
     max_level,
+    preorder,
     validate_system,
 )
 
@@ -197,36 +201,30 @@ def _instances(
 ) -> dict[str, list[tuple[tuple[str, Prefix], ...]]]:
     """Participants of every reaction instance of ``tree``, by action.
 
-    One iterative post-order walk.  A leaf offers one instance per prefix.
-    A node pairs every left instance of a cooperating action with every
-    right one and lets the instances of all other actions through from
-    either side; ``None`` cooperates on the actions both sides offer.
-    The smaller child is merged into the larger, so a deep chain costs
-    time linear in its size.
+    One ``fold`` over the tree's ``preorder``.  A leaf offers one instance
+    per prefix.  A node pairs every left instance of a cooperating action
+    with every right one and lets the instances of all other actions
+    through from either side; ``None`` cooperates on the actions both
+    sides offer.  The smaller child is merged into the larger, so a deep
+    chain costs time linear in its size.
     """
-    done: list[dict[str, list[tuple[tuple[str, Prefix], ...]]]] = []
-    stack: list[tuple[CompositionTree, bool]] = [(tree, False)]
-    while stack:
-        node, children_done = stack.pop()
-        if isinstance(node, Leaf):
-            prefixes = defs[node.species].prefixes
-            done.append({p.action: [((node.species, p),)] for p in prefixes})
-        elif not children_done:
-            stack += [(node, True), (node.right, False), (node.left, False)]
-        else:
-            right = done.pop()
-            left = done.pop()
-            big, small = (left, right) if len(left) >= len(right) else (right, left)
-            for action, rows in small.items():
-                others = big.get(action)
-                if others is None:
-                    big[action] = rows
-                elif node.coop is None or action in node.coop:
-                    big[action] = [a + b for a in others for b in rows]
-                else:
-                    others.extend(rows)
-            done.append(big)
-    return done[0]
+
+    def offers(leaf: Leaf) -> dict[str, list[tuple[tuple[str, Prefix], ...]]]:
+        return {p.action: [((leaf.species, p),)] for p in defs[leaf.species].prefixes}
+
+    def merge(coop: frozenset[str] | None, left: dict, right: dict) -> dict:
+        big, small = (left, right) if len(left) >= len(right) else (right, left)
+        for action, rows in small.items():
+            others = big.get(action)
+            if others is None:
+                big[action] = rows
+            elif coop is None or action in coop:
+                big[action] = [a + b for a in others for b in rows]
+            else:
+                others.extend(rows)
+        return big
+
+    return fold(preorder(tree), offers, merge)
 
 
 def _guard(role: Role, stoich: int, limit: int) -> tuple[int, int]:
@@ -596,31 +594,9 @@ class WeakViews:
 
 
 def lts_to_dict(lts: Lts) -> dict:
-    """The document ``lts_to_json`` writes, as plain lists and dicts."""
-    starts, labels, targets = lts.starts, lts.labels, lts.targets
-    return {
-        "species": list(lts.species_order),
-        "states": [list(s) for s in lts.states],
-        "initial": lts.initial,
-        "transitions": [
-            {
-                "src": src,
-                "action": labels[i].action,
-                "entries": [
-                    {
-                        "species": e.species,
-                        "role": e.role.value,
-                        "level": e.level,
-                        "stoich": e.stoich,
-                    }
-                    for e in labels[i].entries
-                ],
-                "dst": targets[i],
-            }
-            for src in range(lts.n_states)
-            for i in range(starts[src], starts[src + 1])
-        ],
-    }
+    """The document ``lts_to_json`` writes, read back as plain lists and
+    dicts."""
+    return json.loads(lts_to_json(lts))
 
 
 def json_array(items: list[str], indent: str) -> str:
@@ -645,7 +621,9 @@ def _entry_json(e: LabelEntry) -> str:
 
 
 def lts_to_json(lts: Lts) -> str:
-    """``json.dumps(lts_to_dict(lts), indent=2)``, written without the
+    """The JSON document of ``lts``: ``species``, ``states``, ``initial``
+    and ``transitions``, each with ``src``, ``action``, ``entries`` and
+    ``dst``.  Laid out as by ``json.dumps(..., indent=2)``, without the
     pure-Python encoder that ``indent`` selects: the pieces of
     ``lts_json_pieces``, joined once."""
     return "".join(lts_json_pieces(lts))

@@ -2,9 +2,10 @@
 relations the library builds, used to cross-check the real implementations.
 They share no code with the package beyond the data types.
 
-Beside them are the tests' views of an ``Lts``: ``transitions`` lists its
-columns as ``Transition`` tuples and ``lts_from_transitions`` builds the
-columns from such a list.  ``step`` runs the package's own step function
+Beside them are the tests' views of the package's data: ``transitions``
+lists an ``Lts``'s columns as ``Transition`` tuples, ``lts_from_transitions``
+builds the columns from such a list, and ``stoich_column`` reads one named
+column of a ``StoichMatrix``.  ``step`` runs the package's own step function
 on one state, for comparison with ``step_tree_oracle``."""
 
 from __future__ import annotations
@@ -229,6 +230,12 @@ def transitions(lts: Lts) -> list[Transition]:
     ]
 
 
+def stoich_column(m: StoichMatrix, reaction: str) -> tuple[int, ...]:
+    """The column of ``m`` named ``reaction``."""
+    j = m.reactions.index(reaction)
+    return tuple(row[j] for row in m.entries)
+
+
 def lts_from_transitions(species_order, states, initial: int, moves) -> Lts:
     """The ``Lts`` of a list of ``Transition``s: each state's transitions,
     in the order given, are its slice of the label and target columns."""
@@ -243,6 +250,28 @@ def lts_from_transitions(species_order, states, initial: int, moves) -> Lts:
     return Lts(
         tuple(species_order), tuple(states), initial, tuple(starts), tuple(labels), tuple(targets)
     )
+
+
+def json_oracle(lts: Lts) -> dict:
+    """The JSON document of ``lts`` as plain lists and dicts, built
+    transition by transition: the reference for ``lts_to_json``."""
+    return {
+        "species": list(lts.species_order),
+        "states": [list(s) for s in lts.states],
+        "initial": lts.initial,
+        "transitions": [
+            {
+                "src": t.src,
+                "action": t.label.action,
+                "entries": [
+                    {"species": e.species, "role": e.role.value, "level": e.level, "stoich": e.stoich}
+                    for e in t.label.entries
+                ],
+                "dst": t.dst,
+            }
+            for t in transitions(lts)
+        ],
+    }
 
 
 def dot_oracle(lts: Lts, cfg: EquivConfig | None = None) -> str:

@@ -3,8 +3,9 @@
 The competitive-inhibition pair: a full mechanism with explicit
 enzyme/inhibitor binding (fast) and product formation (slow), and a
 reduced model with a single slow reaction whose enzyme and inhibitor
-appear as modifiers.  Plus the shared-fast-action counterexample and the
-activated-producer congruence instance.
+appear as modifiers.  Plus the shared-fast-action counterexample, the
+activated-producer congruence instance, and chains nested thousands of
+levels deep.
 """
 
 from __future__ import annotations
@@ -27,6 +28,38 @@ def chain(*leaves: Leaf) -> Leaf | Node:
     for leaf in leaves[1:]:
         tree = Node(tree, None, leaf)
     return tree
+
+
+def _producers(n: int) -> tuple[SpeciesDef, ...]:
+    return tuple(SpeciesDef(f"S{i}", (Prefix(f"a{i}", 1, PR),), 1) for i in range(n))
+
+
+def right_nested_chain(n: int) -> SystemDef:
+    """S0 <*> (S1 <*> (... <*> S{n-1})), every species at level 0."""
+    tree: Leaf | Node = Leaf(f"S{n - 1}", 0)
+    for i in reversed(range(n - 1)):
+        tree = Node(Leaf(f"S{i}", 0), None, tree)
+    return SystemDef(_producers(n), tree)
+
+
+def left_nested_chain(n: int) -> SystemDef:
+    """((S0 <*> S1) <*> ...) <*> S{n-1}, every species at level 0."""
+    return SystemDef(_producers(n), chain(*(Leaf(f"S{i}", 0) for i in range(n))))
+
+
+def deep_chain(n: int, missing: str | None = "zz") -> SystemDef:
+    """Right-nested chain X0 <s0> (X1 <s1> (... X{n-1})) where X{i} offers
+    s{i} and s{i-1}; every seventh set also names ``missing``, which no
+    species offers, unless it is None."""
+    defs = []
+    for i in range(n):
+        actions = [f"s{i}", f"s{i - 1}"] if i else ["s0"]
+        defs.append(SpeciesDef(f"X{i}", tuple(Prefix(a, 1, GM) for a in actions), 3))
+    tree: Leaf | Node = Leaf(f"X{n - 1}", 0)
+    for i in range(n - 2, -1, -1):
+        coop = {f"s{i}", missing} if missing is not None and i % 7 == 0 else {f"s{i}"}
+        tree = Node(Leaf(f"X{i}", 0), frozenset(coop), tree)
+    return SystemDef(tuple(defs), tree)
 
 
 def inhibition_full(n: int = 5, m: int = 3, p: int = 0) -> SystemDef:

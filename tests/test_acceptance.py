@@ -32,7 +32,14 @@ from fastslow import (
 from fastslow.equivalence import index_pairs
 from fastslow.rational import dot
 from fastslow.semantics import _Filtered
-from oracles import fast_edges, strong_bisim_oracle, transitions, warshall_closure, weak_slow_oracle
+from oracles import (
+    fast_edges,
+    stoich_column,
+    strong_bisim_oracle,
+    transitions,
+    warshall_closure,
+    weak_slow_oracle,
+)
 from randgen import random_case
 from systems import (
     burst_systems,
@@ -72,7 +79,7 @@ def fired_column(m, label):
     if m.actions.count(name) > 1:
         species = {e.species for e in label.entries}
         name += "[" + ",".join(s for s in m.species if s in species) + "]"
-    return m.column(name)
+    return stoich_column(m, name)
 
 
 class TestCriterion1:

@@ -27,9 +27,10 @@ from fastslow import (
     validate_system,
 )
 from fastslow import parse_model
+from fastslow.model import fold, preorder, tree_leaves
 from oracles import dangling_coop_oracle, swapped
 from randgen import random_system
-from systems import burst_systems, inhibition_full, inhibition_reduced
+from systems import burst_systems, deep_chain, inhibition_full, inhibition_reduced
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -139,21 +140,6 @@ def with_extra_coop(sys: SystemDef, rng: random.Random) -> SystemDef:
         return Node(walk(tree.left), coop, walk(tree.right))
 
     return dataclasses.replace(sys, tree=walk(sys.tree))
-
-
-def deep_chain(n: int) -> SystemDef:
-    """Right-nested chain X0 <s0> (X1 <s1> (... X{n-1})) where X{i} offers
-    s{i} and s{i-1}; every seventh set also names ``zz``, which no species
-    offers."""
-    defs = []
-    for i in range(n):
-        actions = [f"s{i}", f"s{i - 1}"] if i else ["s0"]
-        defs.append(species(f"X{i}", *(Prefix(a, 1, Role.GENERIC) for a in actions)))
-    tree = Leaf(f"X{n - 1}", 0)
-    for i in range(n - 2, -1, -1):
-        coop = {f"s{i}", "zz"} if i % 7 == 0 else {f"s{i}"}
-        tree = Node(Leaf(f"X{i}", 0), frozenset(coop), tree)
-    return SystemDef(tuple(defs), tree)
 
 
 class TestValidateSystemAgainstOracle:
@@ -308,6 +294,61 @@ class TestNodeProtocols:
             for clone in (copy.copy(original), copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
                 assert clone == original
                 assert structure(clone) == structure(original)
+
+    def test_loads_a_pickle_of_an_earlier_version(self):
+        # ``pickle.dumps(tree, protocol=4)`` before ``model.preorder`` and
+        # ``model.fold`` existed; pickles name ``_tree_from_preorder``
+        old = (
+            b'\x80\x04\x95\x8c\x00\x00\x00\x00\x00\x00\x00\x8c\x0efastslow.model\x94\x8c\x13_tree_'
+            b'from_preorder\x94\x93\x94((\x8c\x01a\x94\x91\x94h\x00\x8c\x04Leaf\x94\x93\x94)'
+            b'\x81\x94}\x94(\x8c\x07species\x94\x8c\x01A\x94\x8c\x05level\x94K\x01ubNh\x06)\x81'
+            b'\x94}\x94(h\t\x8c\x01B\x94h\x0bK\x00ubh\x06)\x81\x94}\x94(h\t\x8c\x01C\x94h\x0bK\x02ub'
+            b't\x94\x85\x94R\x94.'
+        )
+        tree = Node(Leaf("A", 1), frozenset({"a"}), Node(Leaf("B", 0), None, Leaf("C", 2)))
+        assert structure(pickle.loads(old)) == structure(tree)
+
+
+def random_tree(rng: random.Random, n: int) -> Leaf | Node:
+    """A tree over leaves L0..L{n-1}, left to right, made by joining
+    neighbours: mostly the first two or the last two, so that the tree
+    is about n/2 deep, and otherwise a random pair.  Each node has its
+    own ``coop``."""
+    trees: list[Leaf | Node] = [Leaf(f"L{i}", rng.randint(0, 3)) for i in range(n)]
+    while len(trees) > 1:
+        ends = rng.random() < 0.9
+        i = rng.choice((0, len(trees) - 2)) if ends else rng.randrange(len(trees) - 1)
+        coop = None if rng.random() < 0.3 else frozenset({f"c{len(trees)}"})
+        trees[i : i + 2] = [Node(trees[i], coop, trees[i + 1])]
+    return trees[0]
+
+
+class TestTreeWalks:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_fold_rebuilds_the_tree(self, seed):
+        rng = random.Random(f"fold:{seed}")
+        n = rng.choice((1, 2, rng.randint(3, 30), rng.randint(2500, 4000)))
+        tree = random_tree(rng, n)
+        items = preorder(tree)
+        met = []
+
+        def node(coop, left, right):
+            met.append(coop)
+            return Node(left, coop, right)
+
+        rebuilt = fold(items, lambda leaf: leaf, node)
+        # the repr is written by its own walk, and each set has one member;
+        # a bare bool spares pytest a diff of two long lines
+        same = repr(rebuilt) == repr(tree)
+        assert same
+        assert met == [item for item in reversed(items) if not isinstance(item, Leaf)]
+        assert len(met) == n - 1
+        assert [leaf.species for leaf in tree_leaves(tree)] == [f"L{i}" for i in range(n)]
+
+    def test_bare_leaf(self):
+        leaf = Leaf("A", 2)
+        assert preorder(leaf) == (leaf,)
+        assert fold(preorder(leaf), lambda leaf: leaf.level, max) == 2
 
 
 class TestEquivConfig:

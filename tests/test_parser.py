@@ -22,20 +22,9 @@ from fastslow import (
 from fastslow.parser import _lex, _located
 from oracles import lex_oracle
 from randgen import random_system
-from systems import inhibition_full
+from systems import inhibition_full, right_nested_chain
 
 import random
-
-
-def right_nested_chain(n: int) -> SystemDef:
-    """S0 <*> (S1 <*> (... <*> S{n-1})), every species at level 0."""
-    defs = tuple(
-        SpeciesDef(f"S{i}", (Prefix(f"a{i}", 1, Role.PRODUCT),), 1) for i in range(n)
-    )
-    tree = Leaf(f"S{n - 1}", 0)
-    for i in reversed(range(n - 1)):
-        tree = Node(Leaf(f"S{i}", 0), None, tree)
-    return SystemDef(defs, tree)
 
 
 def spans_of(parse, text: str) -> list[tuple[str, int, int, int, int]]:

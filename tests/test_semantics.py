@@ -39,6 +39,7 @@ from oracles import (
     build_lts_oracle,
     fast_edges,
     filter_oracle,
+    json_oracle,
     lts_from_transitions,
     step,
     step_tree_oracle,
@@ -57,10 +58,13 @@ from randgen import (
 from systems import (
     burst_systems,
     chain,
+    deep_chain,
     inhibition_config,
     inhibition_full,
     inhibition_reduced,
+    left_nested_chain,
     pathway,
+    right_nested_chain,
 )
 
 
@@ -770,6 +774,29 @@ class TestExtensionIsomorphism:
         assert outcome.equivalent
 
 
+class TestDeepTreesCompile:
+    """The reaction tables of trees 3,000 levels deep, three times the
+    default recursion limit.  Their transition systems and stoichiometry
+    matrices grow with the square of the depth, so only the rows are read."""
+
+    @staticmethod
+    def participants(sys: SystemDef) -> list[tuple[str, tuple[str, ...]]]:
+        rows = semantics._Compiled(sys).rows
+        return sorted((row.action, tuple(e.species for e in row.entries)) for row in rows)
+
+    @pytest.mark.parametrize("nested", [right_nested_chain, left_nested_chain])
+    def test_shared_all_chain(self, nested):
+        # S{i} alone offers a{i}, so each action is one row of one species
+        expected = [(f"a{i}", (f"S{i}",)) for i in range(3000)]
+        assert self.participants(nested(3000)) == sorted(expected)
+
+    def test_explicit_cooperation_chain(self):
+        # s{i} synchronises X{i} with X{i+1}; the last one is X2999's alone
+        expected = [(f"s{i}", tuple(sorted((f"X{i}", f"X{i + 1}")))) for i in range(2999)]
+        expected.append(("s2999", ("X2999",)))
+        assert self.participants(deep_chain(3000, missing=None)) == sorted(expected)
+
+
 class TestExports:
     def test_json_document_shape(self):
         lts = build_lts(inhibition_reduced(2, 1, 0))
@@ -782,6 +809,7 @@ class TestExports:
         assert [e["species"] for e in first["entries"]] == ["E'", "I'", "P'", "S'"]
         # deterministic serialisation
         assert json.dumps(doc) == json.dumps(lts_to_dict(build_lts(inhibition_reduced(2, 1, 0))))
+        assert doc == json_oracle(lts)
 
     def test_dot_output(self):
         lts = build_lts(inhibition_reduced(2, 1, 0))

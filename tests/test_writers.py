@@ -3,7 +3,7 @@
 ``lts_to_json`` and ``relation_to_json`` lay their documents out by hand.
 Every output here must equal, byte for byte, what ``json.dumps`` with
 ``indent=2`` writes for the same document: the reference for a transition
-system is ``lts_to_dict``, and for a relation the list of
+system is ``oracles.json_oracle``, and for a relation the list of
 [first-vector, second-vector] pairs in ``sorted(rel)`` order.
 ``lts_to_dot`` renders each distinct filtered label once; it must equal
 ``oracles.dot_oracle``, which filters and renders every edge.  The CLI
@@ -32,7 +32,6 @@ from fastslow import (
     build_lts,
     largest_fast_slow,
     largest_slow,
-    lts_to_dict,
     lts_to_dot,
     lts_to_json,
     parse_config,
@@ -41,7 +40,7 @@ from fastslow import (
 from fastslow import cli
 from fastslow.equivalence import relation_json_pieces
 from fastslow.semantics import lts_dot_pieces, lts_json_pieces
-from oracles import Transition, dot_oracle, filter_oracle, lts_from_transitions, transitions
+from oracles import Transition, dot_oracle, filter_oracle, json_oracle, lts_from_transitions, transitions
 from randgen import random_case
 from systems import inhibition_config, inhibition_full, inhibition_reduced, pathway
 
@@ -49,7 +48,7 @@ CASES = 300  # two systems per case, in each of the two cooperation modes
 
 
 def lts_reference(lts: Lts) -> str:
-    return json.dumps(lts_to_dict(lts), indent=2)
+    return json.dumps(json_oracle(lts), indent=2)
 
 
 def relation_reference(rel, a: Lts, b: Lts) -> str:
