@@ -31,8 +31,7 @@ from .equivalence import (
     CheckOutcome,
     EquivalenceError,
     RelationResolutionError,
-    check_fast_slow_relation,
-    check_slow_relation,
+    _slow_then_fast,
     index_pairs,
     relation_verdict,
 )
@@ -426,7 +425,10 @@ def shortcut_check(
     same relation is cross-validated with the direct fast-slow check on
     the original transition systems, which are built under the
     ``max_states`` cap, and ``relation_verdict`` turns that check into
-    the verdict on the two models.
+    the verdict on the two models.  The transformed systems share the
+    originals' transitions, so both checks play on one pair of weak
+    views, and the cross-validation plays only the fast clauses: the
+    slow check has just answered the slow ones at every pair.
     """
     cls_a = classify(sys_a, cfg)
     cls_b = classify(sys_b, cfg)
@@ -458,10 +460,8 @@ def shortcut_check(
         rel = index_pairs(pairs, t_a, t_b)
     except RelationResolutionError as exc:
         raise ShortcutLiftError(exc.vector, exc.side) from None
-    slow_outcome = fs = check_slow_relation(rel, t_a, t_b, cfg)
-    if slow_outcome.equivalent:
-        fs = check_fast_slow_relation(rel, lts_a, lts_b, cfg)
     # the transformed systems keep the original state indices
+    slow_outcome, fs = _slow_then_fast(rel, t_a, t_b, lts_a, lts_b, cfg)
     return ShortcutOutcome(slow_outcome, relation_verdict(fs, rel, lts_a, lts_b))
 
 

@@ -116,87 +116,139 @@ _NONE: frozenset[int] = frozenset()
 class _Game:
     """Matching game over one ordered pair of transition systems, played
     on a relation held as rows (``rows[p]``: the second-system states
-    related to ``p``) and columns (the converse) of the related states."""
+    related to ``p``) and columns (the converse) of the related states.
+    The caller builds the weak views, so systems that share their
+    transition columns share them too.
 
-    def __init__(self, a: Lts, b: Lts, cfg: EquivConfig, include_fast: bool):
+    Each half returns the first unanswered challenger move at (p, q) of
+    its clauses, or None.  A challenger move into x is answered when x's
+    row (or column) meets the defender's weak slow targets (or fast
+    closure), which a half fetches once per pair.
+    """
+
+    def __init__(self, a: Lts, b: Lts, va: WeakViews, vb: WeakViews):
         self.a = a
         self.b = b
-        self.va = WeakViews(a, cfg)
-        self.vb = WeakViews(b, cfg)
-        self.include_fast = include_fast
+        self.va = va
+        self.vb = vb
 
-    def witness_for(self, rows: dict, cols: dict, p: int, q: int) -> Witness | None:
-        """First unanswered challenger move at (p, q), or None.
-
-        A challenger move into x is answered when x's row (or column)
-        meets the defender's weak slow targets (or fast closure).  Slow
-        challenges are tried before fast ones in both directions so
-        witnesses name the more informative labelled move when several
-        clauses fail at once.
-        """
-        a_states, b_states = self.a.states, self.b.states
-        states = (a_states[p], b_states[q])
-        for label, p2 in self.va.slow_strong(p):
-            if rows.get(p2, _NONE).isdisjoint(self.vb.weak_slow_targets(q, label)):
-                return Witness(states, "left", "slow", label.action, label, a_states[p2])
-        for label, q2 in self.vb.slow_strong(q):
-            if cols.get(q2, _NONE).isdisjoint(self.va.weak_slow_targets(p, label)):
-                return Witness(states, "right", "slow", label.action, label, b_states[q2])
-        if self.include_fast:
-            for p2 in self.va.fast_steps(p):
-                if rows.get(p2, _NONE).isdisjoint(self.vb.fast_closure(q)):
-                    return Witness(states, "left", "fast", None, None, a_states[p2])
-            for q2 in self.vb.fast_steps(q):
-                if cols.get(q2, _NONE).isdisjoint(self.va.fast_closure(p)):
-                    return Witness(states, "right", "fast", None, None, b_states[q2])
+    def slow_witness(self, rows: dict, cols: dict, p: int, q: int) -> Witness | None:
+        moves = self.va.slow_strong(p)
+        if moves:
+            answers = self.vb.weak_slow_moves(q)
+            for label, p2 in moves:
+                if rows.get(p2, _NONE).isdisjoint(answers.get(label, _NONE)):
+                    states = (self.a.states[p], self.b.states[q])
+                    return Witness(states, "left", "slow", label.action, label, self.a.states[p2])
+        moves = self.vb.slow_strong(q)
+        if moves:
+            answers = self.va.weak_slow_moves(p)
+            for label, q2 in moves:
+                if cols.get(q2, _NONE).isdisjoint(answers.get(label, _NONE)):
+                    states = (self.a.states[p], self.b.states[q])
+                    return Witness(states, "right", "slow", label.action, label, self.b.states[q2])
         return None
 
+    def fast_witness(self, rows: dict, cols: dict, p: int, q: int) -> Witness | None:
+        steps = self.va.fast_steps(p)
+        if steps:
+            closure = self.vb.fast_closure(q)
+            for p2 in steps:
+                if rows.get(p2, _NONE).isdisjoint(closure):
+                    states = (self.a.states[p], self.b.states[q])
+                    return Witness(states, "left", "fast", None, None, self.a.states[p2])
+        steps = self.vb.fast_steps(q)
+        if steps:
+            closure = self.va.fast_closure(p)
+            for q2 in steps:
+                if cols.get(q2, _NONE).isdisjoint(closure):
+                    states = (self.a.states[p], self.b.states[q])
+                    return Witness(states, "right", "fast", None, None, self.b.states[q2])
+        return None
 
-def _outcome(game: _Game, rows: dict, cols: dict, checked=None) -> CheckOutcome:
-    """The verdict on the relation in ``rows`` and ``cols``: a candidate
-    fails at the first of the ``checked`` pairs with an unanswered move.
-    Without ``checked`` it is the largest bisimulation.  If it leaves the
-    initial pair out, some move there fails against it; otherwise adding
-    the pair would give a larger bisimulation."""
-    verdict = "relation-not-a-bisimulation"
-    if checked is None:
-        verdict = "not-equivalent"
-        p, q = game.a.initial, game.b.initial
-        checked = () if q in rows.get(p, _NONE) else ((p, q),)
+    def witness_for(self, rows: dict, cols: dict, p: int, q: int) -> Witness | None:
+        """Both halves: slow challenges are tried before fast ones, so
+        witnesses name the more informative labelled move when several
+        clauses fail at once."""
+        return self.slow_witness(rows, cols, p, q) or self.fast_witness(rows, cols, p, q)
+
+
+def _first_failure(witness_for, rows: dict, cols: dict, checked) -> CheckOutcome:
+    """The verdict on the candidate in ``rows`` and ``cols``: it fails at
+    the first of the ``checked`` pairs where ``witness_for`` finds an
+    unanswered move."""
     for p, q in checked:
-        witness = game.witness_for(rows, cols, p, q)
+        witness = witness_for(rows, cols, p, q)
         if witness is not None:
-            return CheckOutcome(verdict, witness)
+            return CheckOutcome("relation-not-a-bisimulation", witness)
     return CheckOutcome("equivalent")
 
 
-def _check_relation(
-    rel: Relation, a: Lts, b: Lts, cfg: EquivConfig, include_fast: bool
-) -> CheckOutcome:
+def _largest_outcome(witness_for, a: Lts, b: Lts, rows: dict, cols: dict) -> CheckOutcome:
+    """The verdict from the largest bisimulation in ``rows`` and ``cols``.
+    If it leaves the initial pair out, some move there fails against it;
+    otherwise adding the pair would give a larger bisimulation."""
+    p, q = a.initial, b.initial
+    witness = None if q in rows.get(p, _NONE) else witness_for(rows, cols, p, q)
+    if witness is None:
+        return CheckOutcome("equivalent")
+    return CheckOutcome("not-equivalent", witness)
+
+
+def _relation_index(rel: Relation, a: Lts, b: Lts) -> tuple[dict, dict, list]:
+    """The rows, columns and sorted pairs of a supplied relation, which
+    must be non-empty and index states of ``a`` and ``b``."""
     if not rel:
         raise EquivalenceError("empty-relation")
+    n_a, n_b = a.n_states, b.n_states
     rows: dict[int, set[int]] = {}
     cols: dict[int, set[int]] = {}
     for p, q in rel:
-        if not (0 <= p < a.n_states and 0 <= q < b.n_states):
+        if not (0 <= p < n_a and 0 <= q < n_b):
             raise EquivalenceError(f"index-out-of-range(({p},{q}))")
         rows.setdefault(p, set()).add(q)
         cols.setdefault(q, set()).add(p)
-    return _outcome(_Game(a, b, cfg, include_fast), rows, cols, sorted(rel))
+    return rows, cols, sorted(rel)
 
 
 def check_fast_slow_relation(
     rel: Relation, a: Lts, b: Lts, cfg: EquivConfig
 ) -> CheckOutcome:
     """Verify a user-supplied fast-slow bisimulation candidate."""
-    return _check_relation(rel, a, b, cfg, include_fast=True)
+    rows, cols, checked = _relation_index(rel, a, b)
+    game = _Game(a, b, WeakViews(a, cfg), WeakViews(b, cfg))
+    return _first_failure(game.witness_for, rows, cols, checked)
 
 
 def check_slow_relation(
     rel: Relation, a: Lts, b: Lts, cfg: EquivConfig
 ) -> CheckOutcome:
     """Verify a user-supplied slow bisimulation candidate (fast clause dropped)."""
-    return _check_relation(rel, a, b, cfg, include_fast=False)
+    rows, cols, checked = _relation_index(rel, a, b)
+    game = _Game(a, b, WeakViews(a, cfg), WeakViews(b, cfg))
+    return _first_failure(game.slow_witness, rows, cols, checked)
+
+
+def _slow_then_fast(
+    rel: Relation, t_a: Lts, t_b: Lts, a: Lts, b: Lts, cfg: EquivConfig
+) -> tuple[CheckOutcome, CheckOutcome]:
+    """``check_slow_relation(rel, t_a, t_b, cfg)`` and, when it passes,
+    ``check_fast_slow_relation(rel, a, b, cfg)``; when it fails, its
+    outcome twice.
+
+    ``t_a`` and ``t_b`` must keep the state indices and share the
+    transition columns of ``a`` and ``b``, as ``transform_lts`` makes
+    them, so one relation index and one pair of weak views serve both
+    checks.  The second replays only the fast clauses: every pair has
+    just answered both slow ones on these views, so the first unanswered
+    fast-slow move is a fast one.
+    """
+    rows, cols, checked = _relation_index(rel, a, b)
+    va, vb = WeakViews(a, cfg), WeakViews(b, cfg)
+    slow = _first_failure(_Game(t_a, t_b, va, vb).slow_witness, rows, cols, checked)
+    if not slow.equivalent:
+        return slow, slow
+    return slow, _first_failure(_Game(a, b, va, vb).fast_witness, rows, cols, checked)
 
 
 def relation_verdict(
@@ -268,7 +320,7 @@ def largest_fast_slow(
     if not, a challenger move at the initial pair that has no answer in
     the returned relation.
     """
-    game = _Game(a, b, cfg, include_fast=True)
+    game = _Game(a, b, WeakViews(a, cfg), WeakViews(b, cfg))
     shift = len(game.va.members)
     block, count = [0] * (shift + len(game.vb.members)), 1
     while True:
@@ -298,7 +350,7 @@ def largest_fast_slow(
     rows = {p: in_b[k] for k, ps in in_a.items() if k in in_b for p in ps}
     cols = {q: in_a[k] for k, qs in in_b.items() if k in in_a for q in qs}
     rel = frozenset((p, q) for p, row in rows.items() for q in row)
-    return rel, _outcome(game, rows, cols)
+    return rel, _largest_outcome(game.witness_for, a, b, rows, cols)
 
 
 def largest_slow(a: Lts, b: Lts, cfg: EquivConfig) -> tuple[Relation, CheckOutcome]:
@@ -309,18 +361,18 @@ def largest_slow(a: Lts, b: Lts, cfg: EquivConfig) -> tuple[Relation, CheckOutco
     predecessors, the only states whose checks read row p or a column
     that lost p.  The result is the unique greatest fixpoint.
     """
-    game = _Game(a, b, cfg, include_fast=False)
+    game = _Game(a, b, WeakViews(a, cfg), WeakViews(b, cfg))
     rows, cols, preds = _index(game)
     work = set(rows)
     while work:
         p = work.pop()
-        failing = [q for q in rows.get(p, ()) if game.witness_for(rows, cols, p, q)]
+        failing = [q for q in rows.get(p, ()) if game.slow_witness(rows, cols, p, q)]
         if failing:
             rows[p].difference_update(failing)
             for q in failing:
                 cols[q].discard(p)
             work.update(preds[p])
-    outcome = _outcome(game, rows, cols)
+    outcome = _largest_outcome(game.slow_witness, a, b, rows, cols)
     # the columns go first, and each row as soon as its pairs are taken
     del cols
     return frozenset((p, q) for p in list(rows) for q in rows.pop(p)), outcome
@@ -410,6 +462,9 @@ def config_problems(cfg: EquivConfig, a: SystemDef, b: SystemDef) -> list[str]:
     return partition_problems(cfg, a, b) + unknown
 
 
+_INT = frozenset([int])
+
+
 def read_pair(item) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """One relation entry: a [first-vector, second-vector] pair.
 
@@ -421,7 +476,7 @@ def read_pair(item) -> tuple[tuple[int, ...], tuple[int, ...]]:
             "relation entries must be [first-vector, second-vector] pairs"
         )
     for vector, side in zip(item, ("first-model", "second-model")):
-        if not isinstance(vector, (list, tuple)) or any(type(x) is not int for x in vector):
+        if not isinstance(vector, (list, tuple)) or not _INT.issuperset(map(type, vector)):
             shown = reprlib.repr(vector)  # bounded in length and depth
             raise RelationFormatError(f"{side} vector {shown} is not an integer array")
     return tuple(item[0]), tuple(item[1])
@@ -429,13 +484,16 @@ def read_pair(item) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def index_pairs(pairs: Iterable[tuple[State, State]], a: Lts, b: Lts) -> Relation:
     """The relation over state indices of pairs read by ``read_pair``; a
-    vector of no reachable state is an error, never silently dropped."""
+    vector of no reachable state is an error, never silently dropped.
+    A vector may be any iterable of ints, read once."""
     out = set()
     for va, vb in pairs:
+        va = tuple(va)
         try:
             p = a.index_of(va)
         except KeyError:
             raise RelationResolutionError(va, "first-model") from None
+        vb = tuple(vb)
         try:
             q = b.index_of(vb)
         except KeyError:

@@ -6,10 +6,12 @@ Beside them are the tests' views of the package's data: ``transitions``
 lists an ``Lts``'s columns as ``Transition`` tuples, ``lts_from_transitions``
 builds the columns from such a list, and ``stoich_column`` reads one named
 column of a ``StoichMatrix``.  ``step`` runs the package's own step function
-on one state, for comparison with ``step_tree_oracle``."""
+on one state, for comparison with ``step_tree_oracle``.  ``read_pair_oracle``
+is the relation reader's contract written as element-by-element checks."""
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
@@ -29,6 +31,7 @@ from fastslow import (
     SystemDef,
     max_level,
 )
+from fastslow.equivalence import RelationFormatError
 from fastslow.semantics import _Compiled
 
 
@@ -321,6 +324,22 @@ def dangling_coop_oracle(sys: SystemDef) -> list[str]:
                     problems.append(f"dangling-coop-action({a})")
         stack += [node.right, node.left]
     return problems
+
+
+def read_pair_oracle(item) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The reference reader of one relation entry, checking each vector
+    element by element.  ``equivalence.read_pair`` must return the same
+    pair, or raise ``RelationFormatError`` with the same message, for
+    every value."""
+    if not isinstance(item, (list, tuple)) or len(item) != 2:
+        raise RelationFormatError(
+            "relation entries must be [first-vector, second-vector] pairs"
+        )
+    for vector, side in zip(item, ("first-model", "second-model")):
+        if not isinstance(vector, (list, tuple)) or any(type(x) is not int for x in vector):
+            shown = reprlib.repr(vector)
+            raise RelationFormatError(f"{side} vector {shown} is not an integer array")
+    return tuple(item[0]), tuple(item[1])
 
 
 def swapped(cfg: EquivConfig) -> EquivConfig:

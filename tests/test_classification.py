@@ -14,14 +14,17 @@ from fastslow import (
     StateCollisionError,
     SystemDef,
     VariableClassification,
+    WeakViews,
     build_lts,
     check_fast_slow_relation,
+    check_slow_relation,
     classify,
     classification_report,
     complete_fast,
     conserved_basis,
     parse_config,
     parse_model,
+    relation_verdict,
     shortcut_check,
     slow_basis,
     slow_sufficiency,
@@ -37,7 +40,7 @@ from fastslow.classification import (
     vector_name,
 )
 from fastslow.equivalence import index_pairs
-from oracles import slow_basis_oracle, stoich_column
+from oracles import slow_basis_oracle, stoich_column, violation_oracle
 from randgen import random_partition, random_system
 from systems import (
     inhibition_config,
@@ -400,6 +403,61 @@ class TestShortcut:
             shortcut_check(
                 inhibition_full(5, 3, 0), inhibition_reduced(5, 3, 0), CFG, [((9, 0, 0), (9,))]
             )
+
+    @pytest.mark.parametrize("params", [(5, 3, 0), (3, 2, 2), (20, 3, 1)])
+    def test_outcomes_match_independent_checks(self, params):
+        # the shortcut shares one pair of weak views between its checks and
+        # replays only the fast clauses; each check run on its own, on
+        # freshly built systems, must give the same verdicts and witnesses
+        full, reduced = inhibition_full(*params), inhibition_reduced(*params)
+        lts_a, lts_b = build_lts(full), build_lts(reduced)
+        t_a = transform_lts(lts_a, classify(full, CFG))
+        t_b = transform_lts(lts_b, classify(reduced, CFG))
+        for t, lts in ((t_a, lts_a), (t_b, lts_b)):
+            assert t.starts is lts.starts and t.labels is lts.labels and t.targets is lts.targets
+        fast_slow_violated = violation_oracle(lts_a, lts_b, CFG, include_fast=True)
+        slow_violated = violation_oracle(lts_a, lts_b, CFG, include_fast=False)
+        lift = inhibition_relation_transformed(*params)
+        dropped = random.Random(f"shortcut:{params}").sample(range(len(lift)), 6)
+        relations = [lift, [lift[-1]]] + [lift[:i] + lift[i + 1 :] for i in dropped]
+        fast_failures = 0
+        for relation in relations:
+            result = shortcut_check(full, reduced, CFG, relation)
+            rel = index_pairs(relation, t_a, t_b)
+            slow = check_slow_relation(rel, t_a, t_b, CFG)
+            assert result.slow_outcome == slow
+            if not slow.equivalent:
+                assert result.fastslow_outcome == slow
+                continue
+            direct = check_fast_slow_relation(rel, lts_a, lts_b, CFG)
+            assert result.fastslow_outcome == relation_verdict(direct, rel, lts_a, lts_b)
+            witness = direct.witness
+            if witness is not None:
+                fast_failures += 1
+                assert witness.kind == "fast"
+                pair = (lts_a.index_of(witness.pair[0]), lts_b.index_of(witness.pair[1]))
+                assert fast_slow_violated(rel, *pair) and not slow_violated(rel, *pair)
+        # some dropped pair passes the slow check and fails only a fast clause
+        assert fast_failures
+
+    def test_one_pair_of_weak_views(self, monkeypatch):
+        built = []
+        init = WeakViews.__init__
+
+        def counted(self, lts, cfg):
+            built.append(lts)
+            init(self, lts, cfg)
+
+        monkeypatch.setattr(WeakViews, "__init__", counted)
+        params = (5, 3, 0)
+        result = shortcut_check(
+            inhibition_full(*params),
+            inhibition_reduced(*params),
+            CFG,
+            inhibition_relation_transformed(*params),
+        )
+        assert result.outcome.equivalent
+        assert len(built) == 2
 
     def test_cross_validation_against_untransformed(self):
         params = (3, 2, 2)

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastslow import (
     CheckOutcome,
@@ -37,6 +38,7 @@ from oracles import (
     fast_edges,
     filter_oracle,
     largest_sweep_oracle,
+    read_pair_oracle,
     swapped,
     violation_oracle,
     warshall_closure,
@@ -473,12 +475,72 @@ class TestCongruenceProbe:
             assert outcome.equivalent, level
 
 
+def relation_entries():
+    """JSON-like values, with and without the shape of a relation entry:
+    pairs of vectors of every length, with entries of every JSON type,
+    bools and huge ints, as lists or tuples."""
+    ints = st.integers() | st.integers(min_value=-(2**200), max_value=2**200)
+    scalars = ints | st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+    values = st.recursive(
+        scalars,
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=2), children, max_size=2),
+        max_leaves=8,
+    )
+    # lists of ints, the shape JSON gives, some with one stray entry
+    lists = st.lists(ints, max_size=4) | st.lists(ints, max_size=4).flatmap(
+        lambda vector: st.tuples(st.integers(0, len(vector)), scalars).map(
+            lambda stray: vector[: stray[0]] + [stray[1]] + vector[stray[0] :]
+        )
+    )
+    vectors = lists | lists.map(tuple) | values
+    wrong_length = st.lists(vectors, max_size=3).filter(lambda item: len(item) != 2)
+    return st.one_of(
+        st.tuples(lists, lists).map(list),
+        st.tuples(lists, lists).map(list),
+        st.tuples(vectors, vectors).map(list),
+        st.tuples(vectors, vectors),
+        wrong_length,
+        wrong_length.map(tuple),
+        values,
+    )
+
+
 class TestRelationIO:
     def test_round_trip(self):
         a, b = inhibition_lts_pair(2, 1, 0)
         rel, _ = largest_fast_slow(a, b, CFG)
         obj = json.loads(relation_to_json(rel, a, b))
         assert index_pairs(map(read_pair, obj), a, b) == rel
+
+    @settings(max_examples=300)
+    @given(item=relation_entries())
+    def test_read_pair_keeps_its_contract(self, item):
+        try:
+            expected = read_pair_oracle(item)
+        except RelationFormatError as exc:
+            with pytest.raises(RelationFormatError) as err:
+                read_pair(item)
+            assert str(err.value) == str(exc)
+        else:
+            assert read_pair(item) == expected
+
+    def test_index_pairs_reads_any_iterable_of_ints(self):
+        a, b = inhibition_lts_pair(3, 2, 1)
+        pairs = inhibition_relation(3, 2, 1)
+        rel = index_pairs(pairs, a, b)
+        assert len(rel) == len(pairs)
+        assert index_pairs([[list(x), list(y)] for x, y in pairs], a, b) == rel
+        assert index_pairs(((iter(x), map(int, y)) for x, y in pairs), a, b) == rel
+        unknown = (9, 9, 9, 9, 9, 9)
+        for vector in (unknown, list(unknown), iter(unknown)):
+            with pytest.raises(RelationResolutionError) as err:
+                index_pairs([pairs[0], (vector, pairs[0][1])], a, b)
+            assert str(err.value) == f"no reachable first-model state has level vector {list(unknown)}"
+            assert (err.value.vector, err.value.side) == (unknown, "first-model")
+        with pytest.raises(RelationResolutionError) as err:
+            index_pairs([(pairs[0][0], [9, 9, 9, 9])], a, b)
+        assert (err.value.vector, err.value.side) == ((9, 9, 9, 9), "second-model")
 
     def test_unresolvable_vector_is_error(self):
         a, b = inhibition_lts_pair(2, 1, 0)
