@@ -51,7 +51,6 @@ from .model import (
     extend_species,
     max_level,
     validate_species,
-    validate_system,
 )
 from .parser import (
     Diagnostic,

@@ -8,8 +8,9 @@ slow-check shortcut), ``classify`` (conserved/slow/fast variables),
 
 Exit codes: 0 success or equivalent, 1 not equivalent (also a supplied
 bisimulation that leaves the initial states unrelated), 2 input error
-or a failed write, 3 state cap exceeded, 4 relation supplied but not a
-bisimulation, 5 shortcut or classification preconditions unmet.
+or a failed write, 3 state cap exceeded or out of memory, 4 relation
+supplied but not a bisimulation, 5 shortcut or classification
+preconditions unmet.
 """
 
 from __future__ import annotations
@@ -410,6 +411,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except StateSpaceLimitError as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_STATE_CAP
+    except MemoryError:
+        print("out-of-memory: a lower --max-states caps the transition systems built", file=sys.stderr)
         return EXIT_STATE_CAP
     # both shortcut errors are ClassificationErrors: this arm goes first
     except (

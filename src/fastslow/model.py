@@ -22,11 +22,13 @@ class ModelError(Exception):
 
 
 class InvalidModelError(ModelError):
-    """Validation produced a non-empty problem report."""
+    """Validation produced a non-empty problem report; ``subjects[i]`` is the
+    defined species ``problems[i]`` is about, or None."""
 
-    def __init__(self, problems: list[str]):
+    def __init__(self, problems: list[str], subjects: list[str | None] | None = None):
         super().__init__("; ".join(problems))
         self.problems = list(problems)
+        self.subjects = list(subjects) if subjects else [None] * len(self.problems)
 
 
 class OverlappingActionsError(ModelError):
@@ -192,6 +194,8 @@ class SystemDef:
     Species are kept in declaration order; that order fixes the state
     vector layout and the stoichiometry matrix rows everywhere else.
     ``params`` and ``rates`` are opaque context strings (never evaluated).
+    A model validates itself when it is made, by ``dataclasses.replace``
+    too, and raises ``InvalidModelError`` if it is not well defined.
     """
 
     species: tuple[SpeciesDef, ...]
@@ -199,6 +203,10 @@ class SystemDef:
     step_size: int = 1
     params: dict[str, str] = field(default_factory=dict)
     rates: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if found := list(_system_problems(self)):
+            raise InvalidModelError([p for _, p in found], [s for s, _ in found])
 
     @property
     def species_order(self) -> tuple[str, ...]:
@@ -208,10 +216,7 @@ class SystemDef:
         return {s.name: s for s in self.species}
 
     def species_def(self, name: str) -> SpeciesDef:
-        for s in self.species:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+        return self.species_map()[name]
 
     def actions(self) -> frozenset[str]:
         out: set[str] = set()
@@ -254,20 +259,8 @@ def validate_species(sdef: SpeciesDef) -> list[str]:
     return problems
 
 
-def validate_system(sys: SystemDef) -> list[str]:
-    """Well-definedness report for a whole model; empty means valid.
-
-    Checks every species definition, uniqueness of species both among
-    definitions and among tree leaves, that every leaf refers to a
-    defined species and every defined species is placed, that initial
-    levels fit in 0..N, and that explicit cooperation sets only name
-    actions occurring on both sides of their node.
-    """
-    return [problem for _, problem in _system_problems(sys)]
-
-
 def _system_problems(sys: SystemDef) -> Iterator[tuple[str | None, str]]:
-    """``validate_system``'s problems in order, each with the defined
+    """The model's well-definedness problems in order, each with the defined
     species it is about, or None when it is about the system as a whole."""
     if sys.step_size < 1:
         yield None, f"invalid-step-size: {sys.step_size} < 1"
@@ -364,14 +357,16 @@ def compose(p: SystemDef, q: SystemDef) -> SystemDef:
         if k in rates and rates[k] != v:
             problems.append(f"conflicting-rate({k})")
         rates[k] = v
-    composed = SystemDef(
-        species=p.species + q.species,
-        tree=Node(p.tree, None, q.tree),
-        step_size=p.step_size,
-        params=params,
-        rates=rates,
-    )
-    problems.extend(validate_system(composed))
+    try:
+        composed = SystemDef(
+            species=p.species + q.species,
+            tree=Node(p.tree, None, q.tree),
+            step_size=p.step_size,
+            params=params,
+            rates=rates,
+        )
+    except InvalidModelError as err:
+        problems += err.problems
     if problems:
         raise InvalidModelError(problems)
     return composed

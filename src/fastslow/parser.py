@@ -29,13 +29,13 @@ from typing import NamedTuple
 
 from .model import (
     EquivConfig,
+    InvalidModelError,
     Leaf,
     Node,
     Prefix,
     Role,
     SpeciesDef,
     SystemDef,
-    _system_problems,
 )
 
 
@@ -393,18 +393,18 @@ class _ModelParser:
         if self.problems:
             raise _located(self.text, self.problems)
         assert self.tree is not None
-        sys = SystemDef(
-            species=tuple(defs),
-            tree=self.tree,
-            step_size=self.step if self.step is not None else 1,
-            params=self.params,
-            rates=self.rates,
-        )
-        for subject, problem in _system_problems(sys):
-            self.error(self.system if subject is None else self.species[subject][1], problem)
-        if self.problems:
-            raise _located(self.text, self.problems)
-        return sys
+        try:
+            return SystemDef(
+                species=tuple(defs),
+                tree=self.tree,
+                step_size=self.step if self.step is not None else 1,
+                params=self.params,
+                rates=self.rates,
+            )
+        except InvalidModelError as err:
+            for subject, problem in zip(err.subjects, err.problems):
+                self.error(self.system if subject is None else self.species[subject][1], problem)
+            raise _located(self.text, self.problems) from None
 
 
 class _Recover(Exception):

@@ -50,7 +50,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .model import (
     CompositionTree,
     EquivConfig,
-    InvalidModelError,
     Leaf,
     Prefix,
     Role,
@@ -59,10 +58,10 @@ from .model import (
     fold,
     max_level,
     preorder,
-    validate_system,
 )
 
 DEFAULT_STATE_CAP = 1_000_000
+_PART_ROWS = 1024  # compiling holds about 28 KB a row, so a step function is made in parts
 
 # A named tuple's generated ``__new__`` is a Python call; ``tuple.__new__``
 # makes the same object without it, once per label and once per filtered
@@ -255,9 +254,6 @@ class _Compiled:
     """
 
     def __init__(self, sys: SystemDef):
-        problems = validate_system(sys)
-        if problems:
-            raise InvalidModelError(problems)
         self.order = sys.species_order
         index = {name: i for i, name in enumerate(self.order)}
         defs = sys.species_map()
@@ -300,13 +296,16 @@ def _generate(
     stored, in one expression.  The source grows with the rows' guards
     and changes, not with rows times species: a target is spelled out as
     a tuple only when that is no longer than setting the changed levels
-    in a copy of the state.
+    in a copy of the state.  Rows compile in parts of ``_PART_ROWS``.
     """
     space: dict[str, object] = {"new": _tuple_new, "Label": CapabilityLabel}
     width = len(limits)
     unpack = "".join(f"x{i}, " for i in range(width)) + "= state"
-    lines = ["def moves(state):", "    " + unpack, "    out = []"]
+    sources: list[list[str]] = []
     for r, row in enumerate(rows):
+        if r % _PART_ROWS == 0:
+            lines = ["def moves(state):", "    " + unpack, "    out = []"]
+            sources.append(lines)
         tests = []
         for i, lo, hi in row.guards:
             low = f"{lo} <= " if lo else ""
@@ -332,10 +331,11 @@ def _generate(
             lines += [f"        t[{i}] = x{i} + {d}" for i, d in row.changes]
             target = "tuple(t)"
         lines.append(f"        out.append(({label}, {target}))")
-    lines.append("    return out")
-    exec(compile("\n".join(lines), "<generated step>", "exec"), space)
-    # popped, so the namespace does not hold the function that holds it
-    return space.pop("moves")  # type: ignore[return-value]
+    parts = []
+    for lines in sources:
+        exec(compile("\n".join(lines + ["    return out"]), "<generated step>", "exec"), space)
+        parts.append(space.pop("moves"))  # so the namespace does not hold its function
+    return parts[0] if len(parts) == 1 else lambda state: [m for part in parts for m in part(state)]
 
 
 def build_lts(sys: SystemDef, max_states: int = DEFAULT_STATE_CAP) -> Lts:

@@ -295,11 +295,12 @@ def dot_oracle(lts: Lts, cfg: EquivConfig | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dangling_coop_oracle(sys: SystemDef) -> list[str]:
-    """The ``dangling-coop-action`` problems of ``sys``, in pre-order:
-    at every node with a cooperation set, the actions of both subtrees
-    are collected again by walking all of their leaves."""
-    defs = sys.species_map()
+def dangling_coop_oracle(species, tree) -> list[str]:
+    """The ``dangling-coop-action`` problems of a model of ``species``
+    placed in ``tree``, in pre-order: at every node with a cooperation
+    set, the actions of both subtrees are collected again by walking all
+    of their leaves."""
+    defs = {s.name: s for s in species}
 
     def actions(tree) -> set[str]:
         stack, out = [tree], set()
@@ -312,7 +313,7 @@ def dangling_coop_oracle(sys: SystemDef) -> list[str]:
         return out
 
     problems = []
-    stack = [sys.tree]
+    stack = [tree]
     while stack:
         node = stack.pop()
         if isinstance(node, Leaf):

@@ -47,10 +47,11 @@ def left_nested_chain(n: int) -> SystemDef:
     return SystemDef(_producers(n), chain(*(Leaf(f"S{i}", 0) for i in range(n))))
 
 
-def deep_chain(n: int, missing: str | None = "zz") -> SystemDef:
-    """Right-nested chain X0 <s0> (X1 <s1> (... X{n-1})) where X{i} offers
-    s{i} and s{i-1}; every seventh set also names ``missing``, which no
-    species offers, unless it is None."""
+def deep_chain(n: int, missing: str | None = "zz") -> tuple[tuple[SpeciesDef, ...], Node]:
+    """Species and tree of the right-nested chain X0 <s0> (X1 <s1> (...
+    X{n-1})) where X{i} offers s{i} and s{i-1}; every seventh set also
+    names ``missing``, which no species offers, unless it is None.  Only
+    without ``missing`` do they make a valid ``SystemDef``."""
     defs = []
     for i in range(n):
         actions = [f"s{i}", f"s{i - 1}"] if i else ["s0"]
@@ -59,7 +60,7 @@ def deep_chain(n: int, missing: str | None = "zz") -> SystemDef:
     for i in range(n - 2, -1, -1):
         coop = {f"s{i}", missing} if missing is not None and i % 7 == 0 else {f"s{i}"}
         tree = Node(Leaf(f"X{i}", 0), frozenset(coop), tree)
-    return SystemDef(tuple(defs), tree)
+    return tuple(defs), tree
 
 
 def inhibition_full(n: int = 5, m: int = 3, p: int = 0) -> SystemDef:

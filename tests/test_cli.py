@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import fastslow
-from fastslow import cli, equivalence
+from fastslow import cli, equivalence, model, semantics
 from fastslow.cli import main
 from fastslow.parser import render_model
 from systems import inhibition_full, inhibition_relation, inhibition_relation_transformed
@@ -147,6 +147,16 @@ class TestLtsCommand:
         )
         assert code == 3
         assert "state-space-limit-exceeded(4)" in err
+
+    def test_out_of_memory_exits_3_in_one_line(self, fixtures, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(semantics, "build_lts", exhausted)
+        code, out, err = run(capsys, "lts", fixtures / "inhibition_full.bp")
+        assert code == 3
+        assert out == ""
+        assert err == "out-of-memory: a lower --max-states caps the transition systems built\n"
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_nonpositive_state_cap_exits_2(self, fixtures, capsys, cap):
@@ -571,6 +581,53 @@ class TestCheckCommand:
         assert report["verdict"] == "equivalent"
         assert "timing_ms" not in report
         assert len(report["inputs"]) == 3
+
+
+class TestOneValidationPerModel:
+    """A model is validated once, when it is made: by the parser or by
+    ``compose``.  Each transition system compiles its model once; the
+    shortcut compiles each model a second time for its stoichiometry
+    matrix."""
+
+    @pytest.mark.parametrize(
+        "argv, validations, compilations",
+        [
+            (["lts", "inhibition_full.bp"], 1, 1),
+            (["check", "inhibition_full.bp", "inhibition_reduced.bp", "--config", "inhibition.cfg"], 2, 2),
+            (["classify", "inhibition_full.bp", "--config", "inhibition.cfg"], 1, 1),
+            (
+                ["congruence", "burst_a.bp", "burst_b.bp", "drain_ctx.bp", "--config", "burst.cfg"],
+                5,
+                4,
+            ),
+            (
+                ["check", "inhibition_full.bp", "inhibition_reduced.bp", "--config", "inhibition.cfg",
+                 "--mode", "shortcut", "--relation", "shortcut.json"],
+                2,
+                4,
+            ),
+        ],
+    )
+    def test_counts(self, fixtures, capsys, tmp_path, monkeypatch, argv, validations, compilations):
+        pairs = [[list(a), list(b)] for a, b in inhibition_relation_transformed(5, 3, 0)]
+        (tmp_path / "shortcut.json").write_text(json.dumps(pairs))
+        calls = {"validations": 0, "compilations": 0}
+        problems, compile_table = model._system_problems, semantics._Compiled.__init__
+
+        def counted_problems(sys):
+            calls["validations"] += 1
+            return problems(sys)
+
+        def counted_compile(self, sys):
+            calls["compilations"] += 1
+            compile_table(self, sys)
+
+        monkeypatch.setattr(model, "_system_problems", counted_problems)
+        monkeypatch.setattr(semantics._Compiled, "__init__", counted_compile)
+        inputs = {".bp": fixtures, ".cfg": fixtures, ".json": tmp_path}
+        code, _, _ = run(capsys, *(inputs[Path(a).suffix] / a if Path(a).suffix else a for a in argv))
+        assert code in (0, 1)
+        assert calls == {"validations": validations, "compilations": compilations}
 
 
 class TestInputsReadOnce:

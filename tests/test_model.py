@@ -24,10 +24,9 @@ from fastslow import (
     extend_species,
     max_level,
     validate_species,
-    validate_system,
 )
 from fastslow import parse_model
-from fastslow.model import fold, preorder, tree_leaves
+from fastslow.model import CompositionTree, fold, preorder, tree_leaves
 from oracles import dangling_coop_oracle, swapped
 from randgen import random_system
 from systems import burst_systems, deep_chain, inhibition_full, inhibition_reduced
@@ -79,33 +78,42 @@ class TestValidateSpecies:
                 assert (validate_species(sdef) == []) == ok
 
 
+def report(make, *args, **kwargs) -> list[str]:
+    """The problems ``make(*args, **kwargs)`` raises while it constructs a
+    ``SystemDef``, in order; empty when the model it makes is valid."""
+    try:
+        make(*args, **kwargs)
+    except InvalidModelError as err:
+        return err.problems
+    return []
+
+
 class TestValidateSystem:
     def test_inhibition_system_valid(self):
-        assert validate_system(inhibition_full()) == []
-        assert validate_system(inhibition_reduced()) == []
+        assert report(dataclasses.replace, inhibition_full()) == []
+        assert report(dataclasses.replace, inhibition_reduced()) == []
 
     def test_repeated_species_leaf(self):
         s = species("S", Prefix("a", 1, Role.REACTANT), max_count=5)
-        sys = SystemDef((s,), Node(Leaf("S", 0), None, Leaf("S", 1)))
-        assert any(p.startswith("repeated-species(S)") for p in validate_system(sys))
+        found = report(SystemDef, (s,), Node(Leaf("S", 0), None, Leaf("S", 1)))
+        assert any(p.startswith("repeated-species(S)") for p in found)
 
     def test_level_out_of_range(self):
         s = species("S", Prefix("a", 1, Role.REACTANT), max_count=5)
-        sys = SystemDef((s,), Leaf("S", 6))
         assert any(
-            p.startswith("level-out-of-range(S)") for p in validate_system(sys)
+            p.startswith("level-out-of-range(S)") for p in report(SystemDef, (s,), Leaf("S", 6))
         )
 
     def test_last_repeated_definition_decides_the_level_check(self):
         # the level is checked only against a valid definition
         good = species("S", Prefix("a", 1, Role.REACTANT), max_count=5)
         empty = species("S")
-        assert validate_system(SystemDef((empty, good), Leaf("S", 6))) == [
+        assert report(SystemDef, (empty, good), Leaf("S", 6)) == [
             "empty-definition(S)",
             "repeated-species(S)",
             "level-out-of-range(S): initial 6 not in 0..5",
         ]
-        assert validate_system(SystemDef((good, empty), Leaf("S", 6))) == [
+        assert report(SystemDef, (good, empty), Leaf("S", 6)) == [
             "repeated-species(S)",
             "empty-definition(S)",
         ]
@@ -113,24 +121,53 @@ class TestValidateSystem:
     def test_dangling_coop_action(self):
         a = species("A", Prefix("x", 1, Role.REACTANT))
         b = species("B", Prefix("y", 1, Role.PRODUCT))
-        sys = SystemDef((a, b), Node(Leaf("A", 1), frozenset({"x"}), Leaf("B", 0)))
+        tree = Node(Leaf("A", 1), frozenset({"x"}), Leaf("B", 0))
         assert any(
-            p.startswith("dangling-coop-action(x)") for p in validate_system(sys)
+            p.startswith("dangling-coop-action(x)") for p in report(SystemDef, (a, b), tree)
         )
 
     def test_unknown_and_unused_species(self):
         a = species("A", Prefix("x", 1, Role.REACTANT))
         b = species("B", Prefix("y", 1, Role.PRODUCT))
-        sys = SystemDef((a, b), Leaf("A", 1))
-        report = validate_system(sys)
-        assert any(p.startswith("unused-species(B)") for p in report)
-        sys2 = SystemDef((a,), Leaf("Z", 0))
-        assert any(p.startswith("unknown-species(Z)") for p in validate_system(sys2))
+        found = report(SystemDef, (a, b), Leaf("A", 1))
+        assert any(p.startswith("unused-species(B)") for p in found)
+        found = report(SystemDef, (a,), Leaf("Z", 0))
+        assert any(p.startswith("unknown-species(Z)") for p in found)
+
+    def test_each_problem_names_its_subject(self):
+        # the defined species a problem is about, or None for the model
+        a = species("A", Prefix("x", 1, Role.REACTANT))
+        b = species("B", Prefix("y", 1, Role.PRODUCT), max_count=0)
+        tree = Node(Leaf("Z", 0), frozenset({"x"}), Node(Leaf("A", 9), None, Leaf("A", 0)))
+        with pytest.raises(InvalidModelError) as err:
+            SystemDef((a, b), tree, step_size=0)
+        assert list(zip(err.value.subjects, err.value.problems)) == [
+            (None, "invalid-step-size: 0 < 1"),
+            ("B", "invalid-max-count(B): 0 < 1"),
+            (None, "unknown-species(Z)"),
+            ("A", "repeated-species(A)"),
+            ("B", "unused-species(B)"),
+            (None, "dangling-coop-action(x)"),
+        ]
+
+    def test_replace_into_an_invalid_model_raises(self):
+        sys = inhibition_full()
+        with pytest.raises(InvalidModelError) as err:
+            dataclasses.replace(sys, tree=Node(sys.tree, None, Leaf("S", 0)))
+        assert err.value.problems == ["repeated-species(S)"]
+        with pytest.raises(InvalidModelError) as err:
+            dataclasses.replace(sys, step_size=0)
+        assert err.value.problems == ["invalid-step-size: 0 < 1"]
+
+    def test_valid_model_survives_copy_and_pickle(self):
+        for sys in (inhibition_full(), SystemDef(*deep_chain(3000, missing=None))):
+            for copied in (copy.copy(sys), copy.deepcopy(sys), pickle.loads(pickle.dumps(sys))):
+                assert copied == sys
 
 
-def with_extra_coop(sys: SystemDef, rng: random.Random) -> SystemDef:
-    """``sys`` with an action added to every cooperation set: one of its
-    own, which may be missing on a side, or one no species offers."""
+def with_extra_coop(sys: SystemDef, rng: random.Random) -> CompositionTree:
+    """``sys``'s tree with an action added to every cooperation set: one of
+    its own, which may be missing on a side, or one no species offers."""
     pool = sorted(sys.actions()) + ["zz"]
 
     def walk(tree):
@@ -139,7 +176,7 @@ def with_extra_coop(sys: SystemDef, rng: random.Random) -> SystemDef:
         coop = (tree.coop or frozenset()) | {rng.choice(pool)}
         return Node(walk(tree.left), coop, walk(tree.right))
 
-    return dataclasses.replace(sys, tree=walk(sys.tree))
+    return walk(sys.tree)
 
 
 class TestValidateSystemAgainstOracle:
@@ -147,9 +184,9 @@ class TestValidateSystemAgainstOracle:
     every node: the same problems, in the same order."""
 
     @staticmethod
-    def agree(sys: SystemDef) -> list[str]:
-        problems = validate_system(sys)
-        dangling = dangling_coop_oracle(sys)
+    def agree(species, tree, step_size: int = 1) -> list[str]:
+        problems = report(SystemDef, species, tree, step_size)
+        dangling = dangling_coop_oracle(species, tree)
         others = [p for p in problems if not p.startswith("dangling-coop-action(")]
         assert problems == others + dangling
         return dangling
@@ -159,8 +196,8 @@ class TestValidateSystemAgainstOracle:
         for case in range(400):
             rng = random.Random(f"validate:{case}")
             sys = random_system(rng, sync_all=False)
-            assert self.agree(sys) == []
-            dangling = self.agree(with_extra_coop(sys, rng))
+            assert self.agree(sys.species, sys.tree, sys.step_size) == []
+            dangling = self.agree(sys.species, with_extra_coop(sys, rng), sys.step_size)
             some += bool(dangling)
             several += len(dangling) > 1
         assert some > 200 and several > 40
@@ -168,10 +205,11 @@ class TestValidateSystemAgainstOracle:
     def test_every_fixture(self):
         for path in sorted(FIXTURES.glob("*.bp")):
             if path.name != "broken.bp":
-                self.agree(parse_model(path.read_text()))
+                sys = parse_model(path.read_text())
+                self.agree(sys.species, sys.tree, sys.step_size)
 
     def test_deep_chain(self):
-        dangling = self.agree(deep_chain(300))
+        dangling = self.agree(*deep_chain(300))
         assert dangling == ["dangling-coop-action(zz)"] * 43
 
 
@@ -222,7 +260,7 @@ class TestCompose:
         combined = compose(reduced, extra)
         assert combined.species_order == ("S'", "E'", "I'", "P'", "Z")
         assert len(list(combined.initial_levels())) == 5
-        assert validate_system(combined) == []
+        assert report(dataclasses.replace, combined) == []
 
     def test_shared_action_synchronises(self):
         s1, _, ctx, _ = burst_systems()
@@ -246,6 +284,20 @@ class TestCompose:
         )
         with pytest.raises(InvalidModelError):
             compose(s1, other)
+
+    def test_conflicts_come_before_the_composed_models_problems(self):
+        s1, _, _, _ = burst_systems()
+        p = dataclasses.replace(s1, params={"k": "1"}, rates={"g": "x"})
+        q = dataclasses.replace(s1, step_size=2, params={"k": "2"}, rates={"g": "y"})
+        with pytest.raises(InvalidModelError) as err:
+            compose(p, q)
+        assert err.value.problems == [
+            "step-size-mismatch: 1 != 2",
+            "conflicting-param(k)",
+            "conflicting-rate(g)",
+            "repeated-species(S1)",
+            "repeated-species(S1)",
+        ]
 
 
 @dataclasses.dataclass(frozen=True)

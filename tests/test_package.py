@@ -68,7 +68,6 @@ PUBLIC = [
     "stoich_matrix",
     "transform_lts",
     "validate_species",
-    "validate_system",
 ]
 
 

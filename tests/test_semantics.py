@@ -482,6 +482,27 @@ class TestGeneratedStep:
             with pytest.raises(ValueError, match="is not a state of this model"):
                 step(sys, state)
 
+    @pytest.mark.parametrize("part_rows", [1, 2, 3])
+    def test_a_table_compiled_in_parts_steps_as_one(self, monkeypatch, part_rows):
+        # each part is a function of its own; the moves of all parts, in
+        # order, are the moves of the whole table
+        monkeypatch.setattr(semantics, "_PART_ROWS", part_rows)
+        for sys in (inhibition_full(5, 3, 1), pathway(3, 3)[0]):
+            assert len(semantics._Compiled(sys).rows) > part_rows
+            TestBuildAgainstOracle.assert_same(sys)
+            TestStepAgainstTreeOracle.assert_agrees(sys)
+        for case in range(20):
+            rng = random.Random(f"parts:{part_rows}:{case}")
+            TestBuildAgainstOracle.assert_same(random_system(rng, sync_all=False))
+
+    def test_a_wide_table_is_compiled_in_parts(self):
+        # 3,000 rows, three parts; every reactant is at level 0, so nothing fires
+        species = tuple(SpeciesDef(f"S{i}", (Prefix(f"a{i}", 1, Role.REACTANT),), 1) for i in range(3000))
+        sys = SystemDef(species, chain(*(Leaf(f"S{i}", 0) for i in range(3000))))
+        assert semantics._PART_ROWS < 3000
+        lts = build_lts(sys)
+        assert (lts.n_states, lts.n_transitions) == (1, 0)
+
     def test_stoichiometry_alone_generates_nothing(self, monkeypatch):
         def generate(*args):
             raise AssertionError("a step function was generated")
@@ -794,7 +815,7 @@ class TestDeepTreesCompile:
         # s{i} synchronises X{i} with X{i+1}; the last one is X2999's alone
         expected = [(f"s{i}", tuple(sorted((f"X{i}", f"X{i + 1}")))) for i in range(2999)]
         expected.append(("s2999", ("X2999",)))
-        assert self.participants(deep_chain(3000, missing=None)) == sorted(expected)
+        assert self.participants(SystemDef(*deep_chain(3000, missing=None))) == sorted(expected)
 
 
 class TestExports:
